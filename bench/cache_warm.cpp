@@ -1,4 +1,4 @@
-// Warm-cache batch re-run cost (docs/SERVICE.md): the content-addressed
+// Warm-cache batch re-run cost (docs/CACHING.md): the content-addressed
 // result cache turns an unchanged re-analysis into a disk lookup. Three
 // canonical rows over a slice of the clean corpus:
 //

@@ -13,7 +13,6 @@
 //                      [--corpus-dirty] [--strict-frontend]
 //                      [--cache-dir=DIR] [--cache-max-bytes=N]
 //                      [--cache-max-age=SECONDS]
-//                      [--serve=SOCK] [--connect=SOCK]
 //                      [--fault-campaign=DIR] [--campaign-kinds=K1,K2,...]
 //                      [--campaign-max-ops=N] [--campaign-full-corpus]
 //                      [--help]
@@ -49,22 +48,13 @@
 // a live analysis (--progressive, --per-statement, --annotate, --dot) are
 // rejected in batch mode.
 //
-// SERVICE mode (docs/SERVICE.md): --serve=SOCK runs the persistent analysis
-// daemon on a unix socket with the content-addressed result cache
-// (--cache-dir) resident; SIGTERM drains it gracefully (exit 0). --connect
-// =SOCK streams a batch from a running daemon (PSARPC2): unit results arrive
-// one frame at a time, a torn stream is resumed over a fresh connection
-// re-requesting only the unfinished units, and past the retry budget the
-// remainder falls back to local analysis — the report is byte-identical
-// either way. --cache-dir also works without a daemon: batch workers look
-// up each unit's content-addressed key and skip the fixpoint on a hit, so a
-// warm re-run re-analyzes only edited units. --cache-max-bytes /
-// --cache-max-age bound the cache: after the batch (or, for the daemon,
-// after each request) entries unused past the age limit expire and the
-// oldest are evicted until the directory fits the byte cap (crash-safe,
-// concurrent-sweeper-safe; docs/SERVICE.md). Daemon knobs via environment:
-// PSA_SERVE_INFLIGHT (handler cap), PSA_SERVE_QUEUE (waiting connections),
-// PSA_SERVE_HEARTBEAT_MS (stream liveness), PSA_SERVE_REQUEST_DEADLINE_MS.
+// CACHING (docs/CACHING.md): with --cache-dir, batch workers look up each
+// unit's content-addressed key and skip the fixpoint on a hit, so a warm
+// re-run re-analyzes only edited units and reproduces the cold report byte
+// for byte. Several batches may share one directory. --cache-max-bytes /
+// --cache-max-age bound the cache: after the batch, entries unused past the
+// age limit expire and the oldest are evicted until the directory fits the
+// byte cap (crash-safe, concurrent-sweeper-safe).
 //
 // OBSERVABILITY (both modes, docs/OBSERVABILITY.md): --profile prints the
 // phase-timer / operation-counter / gauge summary (stdout in detailed mode;
@@ -80,7 +70,6 @@
 //   3  some units failed (crash / timeout / oom / exit / frontend error)
 //   4  every unit failed
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -97,8 +86,6 @@
 #include "client/report.hpp"
 #include "driver/campaign.hpp"
 #include "driver/supervisor.hpp"
-#include "service/client.hpp"
-#include "service/daemon.hpp"
 #include "support/metrics.hpp"
 
 namespace {
@@ -138,12 +125,10 @@ struct CliOptions {
   std::uint64_t campaign_max_ops = 0;
   bool campaign_full_corpus = false;
 
-  // Service mode (docs/SERVICE.md).
+  // Result cache (docs/CACHING.md).
   std::string cache_dir;
   std::uint64_t cache_max_bytes = 0;
   std::uint64_t cache_max_age_s = 0;
-  std::string serve_socket;
-  std::string connect_socket;
 };
 
 bool parse_args(int argc, char** argv, CliOptions& out) try {
@@ -254,13 +239,6 @@ bool parse_args(int argc, char** argv, CliOptions& out) try {
       if (out.campaign_max_ops == 0) return false;
     } else if (arg == "--campaign-full-corpus") {
       out.campaign_full_corpus = true;
-    } else if (arg.rfind("--serve=", 0) == 0) {
-      out.serve_socket = value_of("--serve=");
-      if (out.serve_socket.empty()) return false;
-    } else if (arg.rfind("--connect=", 0) == 0) {
-      out.batch = true;
-      out.connect_socket = value_of("--connect=");
-      if (out.connect_socket.empty()) return false;
     } else if (!arg.empty() && arg[0] != '-') {
       out.files.push_back(arg);
     } else {
@@ -270,17 +248,11 @@ bool parse_args(int argc, char** argv, CliOptions& out) try {
   if (!out.campaign_dir.empty()) {
     // Campaign mode is exclusive: it generates its own corpus and re-execs
     // this binary per scenario, so it takes no files and no other mode.
-    return out.files.empty() && !out.batch && out.serve_socket.empty();
+    return out.files.empty() && !out.batch;
   }
   if (!out.campaign_kinds.empty() || out.campaign_max_ops > 0 ||
       out.campaign_full_corpus) {
     return false;  // --campaign-* knobs require --fault-campaign
-  }
-  if (!out.serve_socket.empty()) {
-    // Serve mode is exclusive: the daemon takes work over the socket, not
-    // from the command line.
-    return out.files.empty() && !out.corpus && !out.corpus_dirty &&
-           out.connect_socket.empty();
   }
   if (out.batch) {
     // Batch reports come from serialized payloads; flags that need the live
@@ -315,8 +287,6 @@ constexpr const char* kHelpText =
     "               [--corpus-dirty] [--strict-frontend]\n"
     "               [--cache-dir=DIR] [--cache-max-bytes=N]\n"
     "               [--cache-max-age=SECONDS]\n"
-    "       serve:  [--serve=SOCK] [--connect=SOCK] [--cache-dir=DIR]\n"
-    "               [--cache-max-bytes=N] [--cache-max-age=SECONDS]\n"
     "       fault:  [--fault-campaign=DIR] [--campaign-kinds=K1,K2,...]\n"
     "               [--campaign-max-ops=N] [--campaign-full-corpus]\n"
     "       --help  print this reference and exit\n"
@@ -484,22 +454,7 @@ int run_batch_mode(const CliOptions& cli) {
 
   driver::BatchResult result;
   try {
-    if (!cli.connect_socket.empty()) {
-      // Via the daemon, with the availability contract of
-      // service/client.hpp: retries with backoff, then an in-process
-      // fallback with the exact same options — a dead daemon never fails
-      // the build, and the report is byte-identical either way.
-      service::ClientOptions connect;
-      connect.socket_path = cli.connect_socket;
-      connect.log = [](const std::string& line) {
-        std::cerr << line << '\n';
-      };
-      service::RequestOutcome outcome =
-          service::run_request(units, batch, connect);
-      result = std::move(outcome.result);
-    } else {
-      result = driver::run_batch(units, batch);
-    }
+    result = driver::run_batch(units, batch);
   } catch (const std::exception& e) {
     std::cerr << "batch setup failed: " << e.what() << '\n';
     return driver::kExitBadUsage;
@@ -546,45 +501,6 @@ int run_batch_mode(const CliOptions& cli) {
   return driver::batch_exit_code(result);
 }
 
-int run_serve_mode(const CliOptions& cli) {
-  service::DaemonOptions daemon;
-  daemon.socket_path = cli.serve_socket;
-  daemon.cache_dir = cli.cache_dir;
-  daemon.cache_max_bytes = cli.cache_max_bytes;
-  daemon.cache_max_age_ms = cli.cache_max_age_s * 1000;
-  daemon.jobs = cli.jobs;
-  if (const char* env = std::getenv("PSA_SERVE_INFLIGHT")) {
-    try {
-      daemon.max_inflight = std::max<std::size_t>(1, std::stoul(env));
-    } catch (const std::exception&) {
-      std::cerr << "serve: ignoring malformed PSA_SERVE_INFLIGHT\n";
-    }
-  }
-  if (const char* env = std::getenv("PSA_SERVE_QUEUE")) {
-    try {
-      daemon.max_queued = std::stoul(env);
-    } catch (const std::exception&) {
-      std::cerr << "serve: ignoring malformed PSA_SERVE_QUEUE\n";
-    }
-  }
-  if (const char* env = std::getenv("PSA_SERVE_HEARTBEAT_MS")) {
-    try {
-      daemon.heartbeat_ms = std::stoull(env);
-    } catch (const std::exception&) {
-      std::cerr << "serve: ignoring malformed PSA_SERVE_HEARTBEAT_MS\n";
-    }
-  }
-  if (const char* env = std::getenv("PSA_SERVE_REQUEST_DEADLINE_MS")) {
-    try {
-      daemon.request_deadline_ms = std::stoull(env);
-    } catch (const std::exception&) {
-      std::cerr << "serve: ignoring malformed PSA_SERVE_REQUEST_DEADLINE_MS\n";
-    }
-  }
-  daemon.log = [](const std::string& line) { std::cerr << line << '\n'; };
-  return service::run_daemon(daemon);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -616,7 +532,6 @@ int main(int argc, char** argv) {
     campaign.full_corpus = cli.campaign_full_corpus;
     return driver::run_fault_campaign(campaign);
   }
-  if (!cli.serve_socket.empty()) return run_serve_mode(cli);
   if (cli.batch) return run_batch_mode(cli);
 
   std::size_t succeeded = 0;

@@ -36,7 +36,6 @@ BENCHES=(
   checker_cost
   cache_warm
   incremental
-  service_stream
   ipa_summary
 )
 

@@ -12,6 +12,11 @@
 #      binary's real `--help` output, byte for byte (the same diff
 #      tests/driver/cli_integration_test.cpp performs, enforced here so the
 #      gate runs even when the test suite is skipped).
+#   3. Dangling references — in README.md, DESIGN.md, EXPERIMENTS.md and
+#      docs/*.md, every relative Markdown link target (resolved against the
+#      linking file) and every `docs/NAME.md` / `scripts/NAME.sh` path
+#      (resolved against the repository root) must name an existing file,
+#      so a deleted document or script cannot stay cited.
 #
 # Usage: scripts/doc_drift.sh [BUILD_DIR]   (default: build)
 # Exit 0 when the docs match reality; non-zero with a diff otherwise.
@@ -128,6 +133,53 @@ else
   echo "doc_drift: README --help block ok"
 fi
 rm -f /tmp/doc_drift_help.$$ /tmp/doc_drift_readme.$$
+
+# --- 3. dangling references -------------------------------------------------
+python3 - "$REPO_DIR" <<'EOF'
+import glob
+import os
+import re
+import sys
+
+repo = sys.argv[1]
+docs = [os.path.join(repo, name)
+        for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+docs += sorted(glob.glob(os.path.join(repo, "docs", "*.md")))
+
+link = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+path = re.compile(
+    r"(?<![\w/.-])(docs/[\w.-]+\.md|scripts/[\w.-]+\.sh)(?![\w/-])")
+
+checked, dangling = 0, []
+for doc in docs:
+    with open(doc) as f:
+        text = f.read()
+    name = os.path.relpath(doc, repo)
+    # Links only count in prose: inside fenced code, `[x](y)` is code.
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    for m in link.finditer(prose):
+        target = m.group(1)
+        # URLs and in-page anchors are not files.
+        if re.match(r"[A-Za-z][\w+.-]*:", target) or target.startswith("#"):
+            continue
+        target = target.split("#", 1)[0]
+        checked += 1
+        if not os.path.exists(os.path.join(os.path.dirname(doc), target)):
+            dangling.append((name, target))
+    for m in path.finditer(text):
+        checked += 1
+        if not os.path.exists(os.path.join(repo, m.group(1))):
+            dangling.append((name, m.group(1)))
+
+if dangling:
+    print("doc_drift: references to files that do not exist:",
+          file=sys.stderr)
+    for name, target in dangling:
+        print(f"  {name}: {target}", file=sys.stderr)
+    sys.exit(1)
+print(f"doc_drift: references ok ({checked} resolved)")
+EOF
+[[ $? -ne 0 ]] && fail=1
 
 if [[ $fail -ne 0 ]]; then
   echo "doc_drift: FAILED" >&2

@@ -62,7 +62,7 @@ std::uint64_t writer_id() {
 }
 
 /// Advisory sweep lock: one sweeper per cache directory at a time. A busy
-/// lock means another daemon/client is already bounding the cache — skipping
+/// lock means another batch is already bounding the cache — skipping
 /// is the correct (and the only race-free) answer. The lock dies with the
 /// holder's fd, so a SIGKILLed sweeper never wedges the directory.
 class SweepLock {

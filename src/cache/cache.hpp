@@ -1,4 +1,4 @@
-// The crash-safe, content-addressed, on-disk result cache (docs/SERVICE.md).
+// The crash-safe, content-addressed, on-disk result cache (docs/CACHING.md).
 //
 // One entry per CacheKey (cache/key.hpp), holding the serialized UnitPayload
 // bytes of a completed analysis — the same PSASNAP1-enveloped, checksummed
@@ -13,7 +13,6 @@
 //                                 other's half-written bytes)
 //   quarantine/                   entries that failed validation, kept for
 //                                 post-mortem instead of silently deleted
-//   service.journal               daemon request journal (src/service)
 //   sweep.lock                    advisory flock taken by sweep(); a second
 //                                 concurrent sweeper skips instead of racing
 //   sweep.journal                 append-only record of every sweep decision
@@ -34,7 +33,7 @@
 //     expiry first, then oldest-first eviction until the directory fits the
 //     byte cap. lookup() touches an entry's mtime on every hit, so recency
 //     is use-recency, not write-recency. The sweep is crash-safe and safe
-//     under concurrent daemons/clients sharing the directory: an advisory
+//     under concurrent batches sharing the directory: an advisory
 //     flock serializes sweepers (a busy lock skips the sweep — someone else
 //     is already bounding the cache), every decision is journaled before the
 //     entry is touched, policy evictions use atomic unlink (a concurrent

@@ -20,7 +20,7 @@
 // records the stream of durable ops; the campaign then re-execs the same
 // pipeline once per traced op per kind with PSA_IO_FAULT=<op>:<kind>.
 // docs/RESILIENCE.md ("The I/O fault space") documents the model;
-// scripts/fault_campaign.sh wraps this driver and adds a daemon-side sweep.
+// scripts/fault_campaign.sh wraps this driver for CI.
 #pragma once
 
 #include <cstdint>

@@ -18,8 +18,6 @@ std::string_view to_string(FaultKind kind) {
     case FaultKind::kThrow: return "throw";
     case FaultKind::kCacheTear: return "cachetear";
     case FaultKind::kCacheFlip: return "cacheflip";
-    case FaultKind::kSockDrop: return "sockdrop";
-    case FaultKind::kStreamTear: return "streamtear";
     case FaultKind::kEvictRace: return "evictrace";
   }
   return "?";
@@ -31,7 +29,6 @@ bool parse_kind(std::string_view s, FaultKind& out) {
   for (const auto kind : {FaultKind::kCrash, FaultKind::kSegv, FaultKind::kHang,
                           FaultKind::kOom, FaultKind::kThrow,
                           FaultKind::kCacheTear, FaultKind::kCacheFlip,
-                          FaultKind::kSockDrop, FaultKind::kStreamTear,
                           FaultKind::kEvictRace}) {
     if (s == to_string(kind)) {
       out = kind;
@@ -90,8 +87,6 @@ void inject_fault(FaultKind kind) {
       throw std::runtime_error("injected fault: throw");
     case FaultKind::kCacheTear:
     case FaultKind::kCacheFlip:
-    case FaultKind::kSockDrop:
-    case FaultKind::kStreamTear:
     case FaultKind::kEvictRace:
       return;  // honored at their dedicated fault points, not here
   }

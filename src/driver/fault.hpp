@@ -22,7 +22,7 @@
 //   throw  throw std::runtime_error — an uncaught analyzer exception
 //          (exit code kUncaughtExceptionExitCode).
 //
-// Cache and socket fault points (docs/SERVICE.md) — these do not kill the
+// Result-cache fault points (docs/CACHING.md) — these do not kill the
 // worker; they corrupt its side effects so the self-healing paths can be
 // proven:
 //   cachetear  the result-cache store writes a truncated entry directly to
@@ -30,13 +30,6 @@
 //              guard. The next lookup must reject and evict it.
 //   cacheflip  the store completes, then one bit of the entry is flipped on
 //              disk. The PSASNAP1 checksum must catch it on the next lookup.
-//   sockdrop   a service daemon's request handler closes the connection and
-//              exits without replying — the client sees a connection reset
-//              and must retry, then fall back to in-process analysis.
-//   streamtear a streaming handler writes HALF of the faulted unit's result
-//              frame and hangs up mid-frame. The client must detect the torn
-//              stream (short read / checksum), keep every unit already
-//              received, and reconnect for only the unfinished ones.
 //   evictrace  a cache lookup loses the race against a concurrent sweep:
 //              the entry vanishes between the decision to read and the read
 //              itself. Must surface as a clean miss (recompute), never as
@@ -59,8 +52,6 @@ enum class FaultKind : std::uint8_t {
   kThrow,
   kCacheTear,
   kCacheFlip,
-  kSockDrop,
-  kStreamTear,
   kEvictRace,
 };
 
@@ -84,9 +75,9 @@ class FaultPlan {
 };
 
 /// Trigger `kind` at the call site. kNone returns immediately; kOom and
-/// kThrow raise; kCrash, kSegv and kHang never return. The cache/socket
-/// kinds are no-ops here: they are honored at their dedicated fault points
-/// (cache store, daemon reply) rather than at worker startup.
+/// kThrow raise; kCrash, kSegv and kHang never return. The cache kinds are
+/// no-ops here: they are honored at their dedicated fault points (cache
+/// store and lookup) rather than at worker startup.
 void inject_fault(FaultKind kind);
 
 }  // namespace psa::driver

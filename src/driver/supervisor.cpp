@@ -151,6 +151,40 @@ cache::LookupFault lookup_fault_for(const AnalysisUnit& unit) {
              : cache::LookupFault::kNone;
 }
 
+/// One cache probe, timed as the cache-lookup phase. A hit returns the
+/// deserialized payload and leaves the entry's bytes in `bytes`. An entry
+/// that is corrupt, version-skewed or (past the envelope check) hostile is
+/// evicted and counted as a self-heal: a cache entry is never allowed to
+/// fail a unit, the caller just recomputes. The timer closes before this
+/// returns, so a caller that takes its metrics delta afterwards ships the
+/// lookup's own cost in the served payload.
+std::optional<UnitPayload> probe_cache(cache::ResultCache& cache,
+                                       const cache::CacheKey& key,
+                                       cache::LookupFault fault,
+                                       cache::EntryTier tier,
+                                       std::string& bytes) {
+  std::optional<UnitPayload> hit;
+  bool self_heal = false;
+  {
+    PSA_PHASE_TIMER(lookup_timer, support::Counter::kPhaseCacheLookupWallNs,
+                    support::Counter::kPhaseCacheLookupCpuNs);
+    cache::ResultCache::Lookup found = cache.lookup(key, fault, tier);
+    if (found.status == cache::ResultCache::Lookup::Status::kHit) {
+      try {
+        hit = deserialize_unit_payload(found.bytes);
+        bytes = std::move(found.bytes);
+      } catch (const rsg::SnapshotError& e) {
+        cache.evict(key, e.what());
+        self_heal = true;
+      }
+    } else if (found.status == cache::ResultCache::Lookup::Status::kEvicted) {
+      self_heal = true;
+    }
+  }
+  if (self_heal) PSA_COUNT(support::Counter::kCacheSelfHeals);
+  return hit;
+}
+
 }  // namespace
 
 std::string run_unit_serialized(const AnalysisUnit& unit,
@@ -195,35 +229,19 @@ std::string run_unit_serialized(const AnalysisUnit& unit,
     bool inject_summaries = false;
     if (cache != nullptr) {
       key = cache::cache_key(program, engine, check, salvage);
-      bool self_heal = false;
-      {
-        PSA_PHASE_TIMER(lookup_timer, support::Counter::kPhaseCacheLookupWallNs,
-                        support::Counter::kPhaseCacheLookupCpuNs);
-        cache::ResultCache::Lookup found =
-            cache->lookup(key, lookup_fault_for(unit));
-        if (found.status == cache::ResultCache::Lookup::Status::kHit) {
-          try {
-            UnitPayload cached = deserialize_unit_payload(found.bytes);
-            // Re-issue under this run's identity and metrics: the report
-            // fields (result, findings, salvage summary) are byte-equal to a
-            // cold run; only the truthful counters (cache_hits, lookup
-            // timers) differ in the metrics stream.
-            cached.unit_name = unit.name;
-            cached.function = unit.function;
-            cached.metrics = unit_metrics.delta();
-            return serialize_unit_payload(cached, *cached.interner);
-          } catch (const rsg::SnapshotError& e) {
-            // Envelope-valid but payload-skewed (or hostile): evict and
-            // recompute — a cache entry is never allowed to fail a unit.
-            cache->evict(key, e.what());
-            self_heal = true;
-          }
-        } else if (found.status ==
-                   cache::ResultCache::Lookup::Status::kEvicted) {
-          self_heal = true;
-        }
+      std::string hit_bytes;
+      if (std::optional<UnitPayload> cached =
+              probe_cache(*cache, key, lookup_fault_for(unit),
+                          cache::EntryTier::kUnit, hit_bytes)) {
+        // Re-issue under this run's identity and metrics: the report fields
+        // (result, findings, salvage summary) are byte-equal to a cold run;
+        // only the truthful counters (cache_hits, lookup timers) differ in
+        // the metrics stream.
+        cached->unit_name = unit.name;
+        cached->function = unit.function;
+        cached->metrics = unit_metrics.delta();
+        return serialize_unit_payload(*cached, *cached->interner);
       }
-      if (self_heal) PSA_COUNT(support::Counter::kCacheSelfHeals);
 
       // Unit miss: the function-granular tier (docs/CACHING.md). First
       // resolve the summaries the target's call sites demand — each one
@@ -249,32 +267,17 @@ std::string run_unit_serialized(const AnalysisUnit& unit,
           program, engine, check, salvage,
           callee_deps(program.cfg, program.interner(), summaries));
       func_key_valid = true;
-      bool func_self_heal = false;
-      {
-        PSA_PHASE_TIMER(lookup_timer, support::Counter::kPhaseCacheLookupWallNs,
-                        support::Counter::kPhaseCacheLookupCpuNs);
-        cache::ResultCache::Lookup found = cache->lookup(
-            func_key, cache::LookupFault::kNone, cache::EntryTier::kFunction);
-        if (found.status == cache::ResultCache::Lookup::Status::kHit) {
-          try {
-            UnitPayload cached = deserialize_unit_payload(found.bytes);
-            cached.unit_name = unit.name;
-            cached.function = unit.function;
-            cached.metrics = unit_metrics.delta();
-            // Promote to the unit fast path: the next unedited run of this
-            // unit hits the unit entry without touching the function tier.
-            (void)cache->store(key, found.bytes, store_fault_for(unit));
-            return serialize_unit_payload(cached, *cached.interner);
-          } catch (const rsg::SnapshotError& e) {
-            cache->evict(func_key, e.what());
-            func_self_heal = true;
-          }
-        } else if (found.status ==
-                   cache::ResultCache::Lookup::Status::kEvicted) {
-          func_self_heal = true;
-        }
+      if (std::optional<UnitPayload> cached =
+              probe_cache(*cache, func_key, cache::LookupFault::kNone,
+                          cache::EntryTier::kFunction, hit_bytes)) {
+        cached->unit_name = unit.name;
+        cached->function = unit.function;
+        cached->metrics = unit_metrics.delta();
+        // Promote to the unit fast path: the next unedited run of this unit
+        // hits the unit entry without touching the function tier.
+        (void)cache->store(key, hit_bytes, store_fault_for(unit));
+        return serialize_unit_payload(*cached, *cached->interner);
       }
-      if (func_self_heal) PSA_COUNT(support::Counter::kCacheSelfHeals);
     }
 
     analysis::Options engine_run = engine;
@@ -589,15 +592,6 @@ BatchResult run_batch(const std::vector<AnalysisUnit>& units,
     result.units[i].unit = units[i];
   }
 
-  // Streaming hook dispatch: exactly once per unit, at the moment its
-  // outcome is final and recorded in `result`.
-  const auto notify_done = [&](std::size_t i) {
-    if (options.on_unit_done) options.on_unit_done(i, result.units[i]);
-  };
-  const auto tick = [&] {
-    if (options.on_tick) options.on_tick();
-  };
-
   std::unique_ptr<Checkpoint> checkpoint;
   std::unique_ptr<ScratchDir> scratch;
   if (!options.checkpoint_dir.empty()) {
@@ -662,7 +656,6 @@ BatchResult run_batch(const std::vector<AnalysisUnit>& units,
                         replayed->attempts);
           result.units[i].outcome.from_checkpoint = true;
           log_line(options, "skip " + units[i].name + " (checkpointed)");
-          notify_done(i);
           continue;
         }
         log_line(options,
@@ -673,7 +666,6 @@ BatchResult run_batch(const std::vector<AnalysisUnit>& units,
         result.units[i].outcome.from_checkpoint = true;
         log_line(options, "skip " + units[i].name + " (quarantined: " +
                               describe(*replayed) + ")");
-        notify_done(i);
         continue;
       }
     }
@@ -708,7 +700,6 @@ BatchResult run_batch(const std::vector<AnalysisUnit>& units,
     result.units[i].outcome = outcome;
     journal_outcome(i, outcome);
     log_line(options, "done " + units[i].name + ": " + describe(outcome));
-    notify_done(i);
   };
 
   if (isolate) {
@@ -762,7 +753,6 @@ BatchResult run_batch(const std::vector<AnalysisUnit>& units,
     };
 
     while (!pending.empty() || !running.empty()) {
-      tick();
       while (!pending.empty() && running.size() < jobs) spawn_next();
 
       bool reaped = false;
@@ -780,7 +770,6 @@ BatchResult run_batch(const std::vector<AnalysisUnit>& units,
             journal_outcome(worker.unit_index, report.outcome);
             log_line(options, "done " + units[worker.unit_index].name + ": " +
                                   describe(report.outcome));
-            notify_done(worker.unit_index);
           } else {
             settle(worker.unit_index, worker.attempt, engine_for(worker),
                    outcome);
@@ -841,7 +830,6 @@ BatchResult run_batch(const std::vector<AnalysisUnit>& units,
     // hang takes the batch with it (which is why isolation is the default).
     // No fault injection here: the hook is worker-only by contract.
     while (!pending.empty()) {
-      tick();
       const PendingAttempt next = pending.front();
       pending.pop_front();
       const AnalysisUnit& unit = units[next.unit_index];
@@ -866,7 +854,6 @@ BatchResult run_batch(const std::vector<AnalysisUnit>& units,
         journal_outcome(next.unit_index, report.outcome);
         log_line(options,
                  "done " + unit.name + ": " + describe(report.outcome));
-        notify_done(next.unit_index);
         continue;
       } catch (const std::bad_alloc&) {
         outcome.kind = UnitOutcomeKind::kOom;
@@ -884,7 +871,7 @@ BatchResult run_batch(const std::vector<AnalysisUnit>& units,
 
   // Bound the cache once the batch is done: every result this run produced
   // is already stored, so the sweep sees the directory at its peak. A busy
-  // sweep lock means a concurrent batch/daemon is already bounding it.
+  // sweep lock means a concurrent batch is already bounding it.
   if (cache && (options.cache_max_bytes > 0 || options.cache_max_age_ms > 0)) {
     cache::ResultCache::SweepLimits limits;
     limits.max_bytes = options.cache_max_bytes;

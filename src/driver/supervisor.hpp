@@ -77,8 +77,6 @@ using UnitRunner =
 /// floor) so the retry converges where the first attempt blew up.
 [[nodiscard]] analysis::Options stepped_down(const analysis::Options& options);
 
-struct UnitReport;
-
 struct BatchOptions {
   /// Fork one sandboxed worker per unit. Auto-degrades (with a log line) to
   /// the in-process path on platforms without fork.
@@ -117,17 +115,6 @@ struct BatchOptions {
   bool strict_frontend = false;
   /// Unit-level progress log (start / done / retry / skip lines); null = quiet.
   std::function<void(const std::string&)> log;
-  /// Streaming hook: called exactly once per unit, in settle order (not
-  /// input order), the moment its outcome becomes terminal — ok, partial,
-  /// failed, quarantined, or served from a checkpoint. Retries do not fire
-  /// it. The index is the unit's position in the input list; the report
-  /// reference is only valid for the duration of the call. The service
-  /// daemon streams one PSARPC2 frame per invocation (docs/SERVICE.md).
-  std::function<void(std::size_t, const UnitReport&)> on_unit_done;
-  /// Idle hook: called from the supervisor's wait loop a few times per
-  /// second while workers run (and between units in-process) — never
-  /// concurrently. The daemon's heartbeat timer.
-  std::function<void()> on_tick;
 };
 
 struct UnitReport {

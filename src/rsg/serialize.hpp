@@ -62,9 +62,10 @@ class SnapshotError : public std::runtime_error {
 /// kCounterCount, so the growth is a wire-format change); v4 grew it again
 /// with the function-granular cache counters (func_cache_*, summary_reuse);
 /// v5 grew it with the durable-I/O counters (io_writes, io_fsyncs,
-/// io_faults_injected, io_degradations).
+/// io_faults_injected, io_degradations); v6 shrank it by the eight counters
+/// of the removed analysis daemon (76 -> 68).
 /// Older snapshots are rejected with a version mismatch rather than misread.
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 
 // --- Byte-level primitives ---------------------------------------------------
 

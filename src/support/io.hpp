@@ -74,8 +74,8 @@ struct IoResult {
 };
 
 /// Create the fork-shared op counter now. Idempotent and cheap after the
-/// first call; the supervisor/daemon/client entry points call it before any
-/// fork so parent and children number ops in one shared stream.
+/// first call; the batch supervisor calls it before any fork so parent and
+/// children number ops in one shared stream.
 void ensure_initialized();
 
 /// Total durable ops issued by this process tree so far (reads the shared

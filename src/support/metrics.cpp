@@ -46,12 +46,6 @@ std::string_view counter_name(Counter c) noexcept {
     case Counter::kCacheStores: return "cache_stores";
     case Counter::kCacheEvictions: return "cache_evictions";
     case Counter::kCacheSelfHeals: return "cache_self_heals";
-    case Counter::kServiceRequests: return "service_requests";
-    case Counter::kServiceBusyRejections: return "service_busy_rejections";
-    case Counter::kServiceRetries: return "service_retries";
-    case Counter::kStreamFrames: return "stream_frames";
-    case Counter::kReconnects: return "reconnects";
-    case Counter::kResumedUnits: return "resumed_units";
     case Counter::kCacheSweepRuns: return "cache_sweep_runs";
     case Counter::kCacheSweepEvictions: return "cache_sweep_evictions";
     case Counter::kCacheSweepBytes: return "cache_sweep_bytes";
@@ -81,8 +75,6 @@ std::string_view counter_name(Counter c) noexcept {
     case Counter::kPhaseSerializeCpuNs: return "phase_serialize_cpu_ns";
     case Counter::kPhaseCacheLookupWallNs: return "phase_cache_lookup_wall_ns";
     case Counter::kPhaseCacheLookupCpuNs: return "phase_cache_lookup_cpu_ns";
-    case Counter::kPhaseRequestWallNs: return "phase_request_wall_ns";
-    case Counter::kPhaseRequestCpuNs: return "phase_request_cpu_ns";
     case Counter::kCount: break;
   }
   return "unknown";

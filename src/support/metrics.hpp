@@ -94,22 +94,14 @@ enum class Counter : std::uint16_t {
   kSummaryFixpointIters,  // SCC summary-fixpoint iterations (Kleene rounds)
   kCallHavocFallback,     // kCall transfers that fell back to sound havoc
 
-  // Content-addressed result cache (docs/SERVICE.md).
+  // Content-addressed result cache (docs/CACHING.md).
   kCacheHits,       // lookups served from a validated cache entry
   kCacheMisses,     // lookups that fell through to a real analysis
   kCacheStores,     // entries written (atomic tmp-rename)
   kCacheEvictions,  // entries removed: corrupt, version-skewed, or stray
   kCacheSelfHeals,  // corrupt entries evicted and transparently recomputed
 
-  // Service daemon + client (docs/SERVICE.md).
-  kServiceRequests,        // requests a daemon accepted for processing
-  kServiceBusyRejections,  // requests shed with an explicit busy reply
-  kServiceRetries,         // client retries after busy / connection failure
-  kStreamFrames,           // PSARPC2 frames streamed by daemon handlers
-  kReconnects,             // client reconnects after a mid-stream tear
-  kResumedUnits,           // finished units retained across reconnects
-
-  // Bounded-cache sweep (docs/SERVICE.md eviction policy).
+  // Bounded-cache sweep (docs/CACHING.md eviction policy).
   kCacheSweepRuns,       // sweeps that actually scanned (lock acquired)
   kCacheSweepEvictions,  // valid entries evicted by the size/age policy
   kCacheSweepBytes,      // bytes reclaimed by policy evictions
@@ -146,8 +138,6 @@ enum class Counter : std::uint16_t {
   kPhaseSerializeCpuNs,
   kPhaseCacheLookupWallNs,
   kPhaseCacheLookupCpuNs,
-  kPhaseRequestWallNs,  // service daemon: whole-request latency
-  kPhaseRequestCpuNs,
 
   kCount,
 };

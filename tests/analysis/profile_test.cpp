@@ -177,17 +177,14 @@ TEST(ProfileTest, MetricsJsonRoundTripsThroughTheParser) {
     const std::string key{counter_name(c)};
     EXPECT_DOUBLE_EQ(ops->num(key), static_cast<double>(m.ops[c])) << key;
   }
-  // The service-layer vocabulary (docs/SERVICE.md) is part of the stable
+  // The result-cache vocabulary (docs/CACHING.md) is part of the stable
   // schema: these counters must be present under exactly these names even
   // when zero — consumers key on them for cache hit-rate dashboards.
   for (const char* key :
        {"cache_hits", "cache_misses", "cache_stores", "cache_evictions",
-        "cache_self_heals", "service_requests", "service_busy_rejections",
-        "service_retries", "stream_frames", "reconnects", "resumed_units",
-        "cache_sweep_runs", "cache_sweep_evictions", "cache_sweep_bytes",
-        "func_cache_hits", "func_cache_misses", "func_cache_stores",
-        "summary_reuse", "phase_cache_lookup_wall_ns",
-        "phase_request_wall_ns"}) {
+        "cache_self_heals", "cache_sweep_runs", "cache_sweep_evictions",
+        "cache_sweep_bytes", "func_cache_hits", "func_cache_misses",
+        "func_cache_stores", "summary_reuse", "phase_cache_lookup_wall_ns"}) {
     EXPECT_NE(ops->find(key), nullptr) << key;
   }
   // The interprocedural vocabulary (docs/OBSERVABILITY.md): summary

