@@ -5,7 +5,7 @@
 //                      [--per-statement] [--dot=OUT.dot] [--annotate]
 //                      [--check] [--sarif=OUT.sarif]
 //                      [--profile] [--metrics-out=FILE.jsonl]
-//                      [--no-widen] [--threads=N] [--memory-budget=BYTES]
+//                      [--no-widen] [--memory-budget=BYTES]
 //                      [--no-summaries] [--summary-iters=N]
 //                      [--deadline-ms=MS] [--max-visits=N] [--hard-fail]
 //                      [--isolate[=on|off]] [--jobs=N] [--timeout-ms=MS]
@@ -69,11 +69,14 @@
 //   2  bad usage
 //   3  some units failed (crash / timeout / oom / exit / frontend error)
 //   4  every unit failed
+#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "analysis/profile.hpp"
@@ -131,16 +134,30 @@ struct CliOptions {
   std::uint64_t cache_max_age_s = 0;
 };
 
-bool parse_args(int argc, char** argv, CliOptions& out) try {
+/// Parses a whole numeric flag value. std::stoul and its kin parse only a
+/// prefix ("2x" reads as 2) and wrap a leading minus on unsigned targets
+/// ("-1" reads as 2^64-1); from_chars over the full text rejects both, and
+/// out-of-range values too.
+template <typename Number>
+bool parse_number(std::string_view text, Number& out) {
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, out);
+  return error == std::errc() && stop == end;
+}
+
+bool parse_args(int argc, char** argv, CliOptions& out) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value_of = [&](std::string_view prefix) -> std::string {
       return arg.substr(prefix.size());
     };
+    auto number_of = [&](std::string_view prefix, auto& field) {
+      return parse_number(value_of(prefix), field);
+    };
     if (arg.rfind("--function=", 0) == 0) {
       out.function = value_of("--function=");
     } else if (arg.rfind("--level=", 0) == 0) {
-      out.level = std::stoi(value_of("--level="));
+      if (!number_of("--level=", out.level)) return false;
       if (out.level < 1 || out.level > 3) return false;
     } else if (arg == "--progressive") {
       out.progressive = true;
@@ -171,16 +188,19 @@ bool parse_args(int argc, char** argv, CliOptions& out) try {
     } else if (arg == "--no-summaries") {
       out.engine.enable_summaries = false;
     } else if (arg.rfind("--summary-iters=", 0) == 0) {
-      out.engine.max_summary_iters = std::stoull(value_of("--summary-iters="));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      out.engine.threads = std::stoul(value_of("--threads="));
+      if (!number_of("--summary-iters=", out.engine.max_summary_iters)) {
+        return false;
+      }
     } else if (arg.rfind("--memory-budget=", 0) == 0) {
-      out.engine.memory_budget_bytes =
-          std::stoull(value_of("--memory-budget="));
+      if (!number_of("--memory-budget=", out.engine.memory_budget_bytes)) {
+        return false;
+      }
     } else if (arg.rfind("--deadline-ms=", 0) == 0) {
-      out.engine.deadline_ms = std::stoull(value_of("--deadline-ms="));
+      if (!number_of("--deadline-ms=", out.engine.deadline_ms)) return false;
     } else if (arg.rfind("--max-visits=", 0) == 0) {
-      out.engine.max_node_visits = std::stoull(value_of("--max-visits="));
+      if (!number_of("--max-visits=", out.engine.max_node_visits)) {
+        return false;
+      }
     } else if (arg == "--hard-fail") {
       out.engine.budget_policy = analysis::BudgetPolicy::kHardFail;
     } else if (arg == "--isolate" || arg == "--isolate=on") {
@@ -191,11 +211,11 @@ bool parse_args(int argc, char** argv, CliOptions& out) try {
       out.isolate = false;
     } else if (arg.rfind("--jobs=", 0) == 0) {
       out.batch = true;
-      out.jobs = std::stoul(value_of("--jobs="));
+      if (!number_of("--jobs=", out.jobs)) return false;
       if (out.jobs == 0) return false;
     } else if (arg.rfind("--timeout-ms=", 0) == 0) {
       out.batch = true;
-      out.timeout_ms = std::stoull(value_of("--timeout-ms="));
+      if (!number_of("--timeout-ms=", out.timeout_ms)) return false;
     } else if (arg.rfind("--checkpoint=", 0) == 0) {
       out.batch = true;
       out.checkpoint_dir = value_of("--checkpoint=");
@@ -217,11 +237,11 @@ bool parse_args(int argc, char** argv, CliOptions& out) try {
       if (out.cache_dir.empty()) return false;
     } else if (arg.rfind("--cache-max-bytes=", 0) == 0) {
       out.batch = true;
-      out.cache_max_bytes = std::stoull(value_of("--cache-max-bytes="));
+      if (!number_of("--cache-max-bytes=", out.cache_max_bytes)) return false;
       if (out.cache_max_bytes == 0) return false;
     } else if (arg.rfind("--cache-max-age=", 0) == 0) {
       out.batch = true;
-      out.cache_max_age_s = std::stoull(value_of("--cache-max-age="));
+      if (!number_of("--cache-max-age=", out.cache_max_age_s)) return false;
       if (out.cache_max_age_s == 0) return false;
     } else if (arg.rfind("--fault-campaign=", 0) == 0) {
       out.campaign_dir = value_of("--fault-campaign=");
@@ -235,7 +255,9 @@ bool parse_args(int argc, char** argv, CliOptions& out) try {
       }
       if (out.campaign_kinds.empty()) return false;
     } else if (arg.rfind("--campaign-max-ops=", 0) == 0) {
-      out.campaign_max_ops = std::stoull(value_of("--campaign-max-ops="));
+      if (!number_of("--campaign-max-ops=", out.campaign_max_ops)) {
+        return false;
+      }
       if (out.campaign_max_ops == 0) return false;
     } else if (arg == "--campaign-full-corpus") {
       out.campaign_full_corpus = true;
@@ -265,8 +287,6 @@ bool parse_args(int argc, char** argv, CliOptions& out) try {
     return !out.files.empty() || out.corpus || out.corpus_dirty;
   }
   return !out.files.empty();
-} catch (const std::exception&) {
-  return false;  // malformed numeric value (stoi/stoull)
 }
 
 // The canonical flag reference. README.md embeds this text verbatim in a
@@ -278,8 +298,7 @@ constexpr const char* kHelpText =
     "               [--per-statement] [--annotate] [--dot=OUT.dot]\n"
     "               [--check] [--sarif=OUT.sarif]\n"
     "               [--profile] [--metrics-out=FILE.jsonl]\n"
-    "               [--no-widen] [--threads=N]\n"
-    "               [--no-summaries] [--summary-iters=N]\n"
+    "               [--no-widen] [--no-summaries] [--summary-iters=N]\n"
     "               [--memory-budget=BYTES] [--deadline-ms=MS]\n"
     "               [--max-visits=N] [--hard-fail]\n"
     "       batch:  [--isolate[=on|off]] [--jobs=N] [--timeout-ms=MS]\n"

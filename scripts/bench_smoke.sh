@@ -7,14 +7,24 @@
 #   OUT_DIR    where the BENCH_*.json files land (default: a temp dir;
 #              exported to the benches as PSA_BENCH_DIR)
 #
-# Beyond the schema check, every fresh report is diffed structurally against
-# its committed canonical baseline in bench/baselines/: same schema, same
-# run configs, same counter vocabulary. Timing VALUES are machine-dependent
-# and not compared — the diff catches silently dropped rows, renamed
-# configs, and counter-vocabulary drift that would desynchronize
-# EXPERIMENTS.md from the committed numbers.
+# Beyond the schema check, every fresh report is diffed against its
+# committed canonical baseline in bench/baselines/:
+#   * structurally — same schema, same run configs, same counter vocabulary,
+#     which catches silently dropped rows, renamed configs, and counter
+#     drift that would desynchronize EXPERIMENTS.md from the committed
+#     numbers;
+#   * exactly on the deterministic work of each row — `visits`,
+#     `exit_graphs`, `converged`, `peak_bytes` and every `ops` counter
+#     except the `phase_*` timers. A change that alters the work any bench
+#     configuration does fails here without timing noise. `seconds` and the
+#     timers are machine-dependent and not compared.
+# A mismatch prints bench, config, field, baseline and fresh value. After an
+# intended change of work or vocabulary, regenerate the baselines and commit
+# the diff (EXPERIMENTS.md):
+#   PSA_BENCH_DIR=bench/baselines ./build/bench/<name> --quick
 #
-# Exit 0 when every bench runs and every JSON validates; non-zero otherwise.
+# Exit 0 when every bench runs, every JSON validates and every row matches
+# its baseline; non-zero otherwise.
 # CI runs this as the bench-smoke job and uploads OUT_DIR as an artifact.
 set -u
 
@@ -31,7 +41,6 @@ BENCHES=(
   ablation_pruning
   ablation_join
   ablation_widening
-  parallel_transfer
   governor_overhead
   checker_cost
   cache_warm
@@ -70,6 +79,11 @@ RUN_FIELDS = {
     "exit_graphs": int,
     "ops": dict,
 }
+# Deterministic for a fixed input and options, so compared exactly; every
+# ops counter outside the phase_* timers joins them.
+EXACT_FIELDS = ("visits", "exit_graphs", "converged", "peak_bytes")
+REGENERATE = ("regenerate with: PSA_BENCH_DIR=bench/baselines "
+              "./build/bench/<name> --quick")
 status = 0
 for bench in benches:
     path = f"{out_dir}/BENCH_{bench}.json"
@@ -101,9 +115,10 @@ for bench in benches:
                    if not isinstance(v, int) or v < 0]
             if bad:
                 errors.append(f"runs[{i}].ops non-counter values: {bad}")
-    # Structural diff against the committed canonical baseline: the set of
-    # run configs and the counter vocabulary must match (values are machine-
-    # and build-dependent and deliberately not compared).
+    # Diff against the committed canonical baseline: the set of run configs
+    # and the counter vocabulary must match, and so must every deterministic
+    # value (seconds and the phase_* timers are machine-dependent and
+    # deliberately not compared).
     base_path = f"{baseline_dir}/BENCH_{bench}.json"
     try:
         with open(base_path) as f:
@@ -121,15 +136,33 @@ for bench in benches:
         errors.append(
             f"run configs drifted from baseline: {fresh_configs} != "
             f"{base_configs} (regenerate bench/baselines with --quick)")
+    mismatches = 0
     for i, run in enumerate(runs):
         if i >= len(base.get("runs", [])):
             break
-        fresh_ops = set((run.get("ops") or {}).keys())
-        base_ops = set((base["runs"][i].get("ops") or {}).keys())
-        if fresh_ops != base_ops:
+        base_run = base["runs"][i]
+        fresh_ops = run.get("ops") or {}
+        base_ops = base_run.get("ops") or {}
+        if set(fresh_ops) != set(base_ops):
             errors.append(
                 f"runs[{i}] counter vocabulary drifted from baseline: "
-                f"+{sorted(fresh_ops - base_ops)} -{sorted(base_ops - fresh_ops)}")
+                f"+{sorted(set(fresh_ops) - set(base_ops))} "
+                f"-{sorted(set(base_ops) - set(fresh_ops))}")
+            continue
+        pairs = [(field, base_run.get(field), run.get(field))
+                 for field in EXACT_FIELDS]
+        pairs += [(f"ops.{name}", base_ops[name], fresh_ops[name])
+                  for name in sorted(base_ops)
+                  if not name.startswith("phase_")]
+        for field, base_value, fresh_value in pairs:
+            if base_value != fresh_value:
+                mismatches += 1
+                errors.append(
+                    f"{bench} {run.get('config')} {field}: baseline "
+                    f"{base_value!r}, fresh {fresh_value!r}")
+    if mismatches:
+        errors.append(f"{mismatches} deterministic value(s) differ from "
+                      f"the baseline; if intended, {REGENERATE}")
     if errors:
         status = 1
         for e in errors:

@@ -76,10 +76,6 @@ ResourceGovernor::Interrupt ResourceGovernor::poll() const {
   return Interrupt::kNone;
 }
 
-bool ResourceGovernor::interrupted() const {
-  return poll() != Interrupt::kNone;
-}
-
 bool ResourceGovernor::begin_drain() {
   if (draining_) return false;
   PSA_COUNT(support::Counter::kGovernorDrains);

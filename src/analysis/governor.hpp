@@ -8,7 +8,7 @@
 // governor implements that discipline for the worklist engine:
 //
 //   * a wall-clock deadline (Options::deadline_ms) and a CancelToken, polled
-//     in the worklist loop and inside the parallel per-RSG transfer fan-out;
+//     in the worklist loop and before each per-RSG transfer of a visit;
 //   * a three-rung widening ladder applied to the offending statement's
 //     RSRSG whenever a budget (node visits, memory, RSRSG cardinality)
 //     trips — every rung only merges nodes, widens may-information, or drops
@@ -109,8 +109,7 @@ struct DegradationReport {
 };
 
 /// Per-run budget bookkeeping and ladder state. Owned by the engine; one
-/// instance per analyze_cfg call. Not thread-safe except where noted
-/// (interrupted() is safe to call from pool workers).
+/// instance per analyze_cfg call. Not thread-safe.
 class ResourceGovernor {
  public:
   ResourceGovernor(const Options& options, const cfg::Cfg& cfg);
@@ -120,10 +119,6 @@ class ResourceGovernor {
   /// Cooperative poll for the worklist loop: cancel token first, then the
   /// (current, possibly drain-extended) deadline.
   [[nodiscard]] Interrupt poll() const;
-
-  /// Lock-free variant for the transfer fan-out stop predicate; safe from
-  /// pool workers.
-  [[nodiscard]] bool interrupted() const;
 
   /// Enter the drain phase after a deadline trip: the allowance is extended
   /// to 2x the original deadline so a maximally-coarse fixpoint can finish.

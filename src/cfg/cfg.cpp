@@ -47,9 +47,10 @@ class CfgBuilder {
       : unit_(unit), fn_(fn), diags_(diags) {}
 
   Cfg build() {
-    cfg_.entry_ = fresh({SimpleOp::kNop, {}, {}, {}, {}, 0, {}});
+    // Entry and exit are kNop statements: a value-initialized SimpleStmt.
+    cfg_.entry_ = fresh(SimpleStmt{});
     cursor_ = cfg_.entry_;
-    cfg_.exit_ = fresh({SimpleOp::kNop, {}, {}, {}, {}, 0, {}});
+    cfg_.exit_ = fresh(SimpleStmt{});
 
     for (const auto& [sym, ty] : fn_.variables) {
       if (ty.is_struct_pointer()) cfg_.pvar_struct_[sym] = *ty.struct_id;

@@ -21,8 +21,10 @@ struct MemorySnapshot {
   std::uint64_t graphs_created = 0;
 };
 
-/// Process-wide accounting (atomic: the engine may run per-RSG transfers on a
-/// thread pool). `reset()` between benchmark runs.
+/// Process-wide accounting. The library starts no threads, but a program
+/// that embeds it may run independent analyses on several threads at once,
+/// so the counters stay atomic and exact under that use. `reset()` between
+/// benchmark runs.
 ///
 /// The counters are process-global, which makes per-run attribution wrong as
 /// soon as runs share a process: the engine used to reset() at entry, so an

@@ -24,9 +24,9 @@
 // Counters are process-global and monotonic (they only ever grow — tested in
 // tests/support/metrics_test.cpp). Interval attribution uses MetricsRegion:
 // snapshot at scope entry, delta() at exit. Deltas of the *operation*
-// counters are deterministic for a fixed input and options (the engine's
-// thread fan-out merges in input order); the *_ns timer counters are wall or
-// CPU time and never deterministic — is_timer() lets consumers split them.
+// counters are deterministic for a fixed input and options (the fixpoint is
+// serial); the *_ns timer counters are wall or CPU time and never
+// deterministic — is_timer() lets consumers split them.
 #pragma once
 
 #include <array>

@@ -168,16 +168,6 @@ TEST(CacheKeyTest, CheckerSwitchIsInTheKey) {
             key_of(kSourceA, {}, /*check=*/false));
 }
 
-TEST(CacheKeyTest, ThreadCountIsExcluded) {
-  // The engine contract guarantees thread-count-independent results, so the
-  // same entry must serve any --jobs value.
-  analysis::Options one;
-  one.threads = 1;
-  analysis::Options eight;
-  eight.threads = 8;
-  EXPECT_EQ(key_of(kSourceA, one), key_of(kSourceA, eight));
-}
-
 // ---------------------------------------------------------------------------
 // ResultCache
 

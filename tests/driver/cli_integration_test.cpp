@@ -138,6 +138,17 @@ TEST_F(CliTest, ExitCode2BadUsage) {
   const std::string connect = std::string("--con") + "nect=" + sock;
   EXPECT_EQ(run_cli(serve, "").exit_code, 2);
   EXPECT_EQ(run_cli(clean + " " + connect, "").exit_code, 2);
+  // So is the removed intra-fixpoint thread count (spelled in pieces for
+  // the same reason).
+  const std::string thread_count = std::string("--thr") + "eads=2";
+  EXPECT_EQ(run_cli(clean + " " + thread_count, "").exit_code, 2);
+  // A numeric value must be a whole unsigned number in range: no trailing
+  // junk, no leading minus wrapped to a huge count.
+  EXPECT_EQ(run_cli(clean + " --level=2x", "").exit_code, 2);
+  EXPECT_EQ(run_cli(clean + " --jobs=2x", "").exit_code, 2);
+  EXPECT_EQ(run_cli(clean + " --timeout-ms=1x", "").exit_code, 2);
+  EXPECT_EQ(run_cli(clean + " --max-visits=-1", "").exit_code, 2);
+  EXPECT_EQ(run_cli(clean + " --cache-max-age=-5", "").exit_code, 2);
 }
 
 TEST_F(CliTest, ExitCode3SomeUnitsFailed) {
