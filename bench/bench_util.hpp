@@ -78,7 +78,7 @@ struct BenchRun {
   std::uint64_t peak_bytes = 0;
   std::uint64_t exit_graphs = 0;
   /// Operation counters of the run (AnalysisResult::ops for engine rows;
-  /// all-zero for micro-stage samples and PSA_METRICS=0 builds).
+  /// all-zero for micro-stage samples).
   support::MetricsSnapshot ops;
 };
 

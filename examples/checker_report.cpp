@@ -11,9 +11,11 @@
 #include <iomanip>
 #include <iostream>
 #include <string>
+#include <string_view>
 
 #include "checker/checker.hpp"
 #include "corpus/corpus.hpp"
+#include "support/parse_number.hpp"
 
 namespace {
 
@@ -57,6 +59,12 @@ void print_summary(std::string_view name, const RunStats& stats) {
             << "s)";
 }
 
+int usage() {
+  std::cerr << "usage: checker_report [--level=1|2|3] [--buggy-only] "
+               "[--verbose]\n";
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -66,16 +74,16 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--level=", 0) == 0) {
-      level = std::stoi(arg.substr(8));
-      if (level < 1 || level > 3) return 2;
+      if (!support::parse_number(std::string_view(arg).substr(8), level) ||
+          level < 1 || level > 3) {
+        return usage();
+      }
     } else if (arg == "--buggy-only") {
       buggy_only = true;
     } else if (arg == "--verbose") {
       verbose = true;
     } else {
-      std::cerr << "usage: checker_report [--level=1|2|3] [--buggy-only] "
-                   "[--verbose]\n";
-      return 2;
+      return usage();
     }
   }
   const auto analysis_level = static_cast<rsg::AnalysisLevel>(level);

@@ -69,14 +69,12 @@
 //   2  bad usage
 //   3  some units failed (crash / timeout / oom / exit / frontend error)
 //   4  every unit failed
-#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
 #include "analysis/profile.hpp"
@@ -90,6 +88,7 @@
 #include "driver/campaign.hpp"
 #include "driver/supervisor.hpp"
 #include "support/metrics.hpp"
+#include "support/parse_number.hpp"
 
 namespace {
 
@@ -134,17 +133,6 @@ struct CliOptions {
   std::uint64_t cache_max_age_s = 0;
 };
 
-/// Parses a whole numeric flag value. std::stoul and its kin parse only a
-/// prefix ("2x" reads as 2) and wrap a leading minus on unsigned targets
-/// ("-1" reads as 2^64-1); from_chars over the full text rejects both, and
-/// out-of-range values too.
-template <typename Number>
-bool parse_number(std::string_view text, Number& out) {
-  const char* const end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, out);
-  return error == std::errc() && stop == end;
-}
-
 bool parse_args(int argc, char** argv, CliOptions& out) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -152,7 +140,7 @@ bool parse_args(int argc, char** argv, CliOptions& out) {
       return arg.substr(prefix.size());
     };
     auto number_of = [&](std::string_view prefix, auto& field) {
-      return parse_number(value_of(prefix), field);
+      return support::parse_number(value_of(prefix), field);
     };
     if (arg.rfind("--function=", 0) == 0) {
       out.function = value_of("--function=");

@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # Crash-injection drill against the real psa_cli binary: inject a crash, an
-# OOM and a hang into a batch run over the bundled corpus, assert the batch
-# still completes with exactly the faulted units quarantined, then SIGKILL a
-# checkpointed batch mid-run and prove --resume skips the finished units and
-# reproduces the uninterrupted report byte for byte.
+# OOM, a hang and an uncaught exception (every PSA_FAULT_AT kind) into a
+# batch run over the bundled corpus, assert the batch still completes with
+# exactly the faulted units quarantined, then SIGKILL a checkpointed batch
+# mid-run and prove --resume skips the finished units and reproduces the
+# uninterrupted report byte for byte.
 #
 #   $ scripts/crash_injection.sh [BUILD_DIR]     # default: build
 #
@@ -43,14 +44,17 @@ run_units PSA_FAULT_AT= || status=$?
 grep -q "0 failed" "$WORK/report.txt" || fail "clean batch reported failures"
 cp "$WORK/report.txt" "$WORK/clean-report.txt"
 
-echo "== scenario 2: injected crash + oom + hang are contained and classified"
+echo "== scenario 2: injected crash, oom, hang and throw are contained"
 status=0
-run_units PSA_FAULT_AT="dll:crash,queue:oom,visit_marks:hang" || status=$?
+run_units PSA_FAULT_AT="dll:crash,queue:oom,visit_marks:hang,two_lists:throw" ||
+  status=$?
 [ "$status" -eq 3 ] || fail "faulted batch exited $status, want 3 (some failed)"
 grep -q "dll: crash (signal" "$WORK/report.txt" || fail "crash not classified"
 grep -q "queue: oom" "$WORK/report.txt" || fail "oom not classified"
 grep -q "visit_marks: timeout" "$WORK/report.txt" || fail "hang not classified"
-[ "$(grep -c "quarantined" "$WORK/report.txt")" -ge 3 ] ||
+grep -q "two_lists: exit (code 78), .*quarantined" "$WORK/report.txt" ||
+  fail "throw not classified and quarantined"
+[ "$(grep -c "quarantined" "$WORK/report.txt")" -ge 4 ] ||
   fail "faulted units not quarantined"
 # Every unit not faulted must still be analyzed, identically to scenario 1.
 for u in sll list_reverse binary_tree; do

@@ -129,9 +129,9 @@ struct AnalysisResult {
   /// What the governor had to do to keep the run alive (empty when no budget
   /// tripped). A converged-but-degraded result is sound but coarser.
   DegradationReport degradation;
-  /// Operation-counter deltas of this run (all-zero in PSA_METRICS=0
-  /// builds). The non-timer counters are deterministic for a fixed input and
-  /// options; see support/metrics.hpp and docs/OBSERVABILITY.md.
+  /// Operation-counter deltas of this run. The non-timer counters are
+  /// deterministic for a fixed input and options; see support/metrics.hpp
+  /// and docs/OBSERVABILITY.md.
   support::MetricsSnapshot ops;
 
   [[nodiscard]] bool converged() const noexcept {

@@ -5,11 +5,10 @@
 // taxonomy, the JSONL schema field by field, and the counter-to-paper-
 // concept mapping.
 //
-// The raw counters live in support/metrics.hpp (process-global registry,
-// compiled out under PSA_METRICS=0); this header is the read side that turns
-// captured snapshots into reports. Everything here is deterministic given
-// its inputs except the *_ns timer counters and wall_seconds, which measure
-// real time.
+// The raw counters live in support/metrics.hpp (process-global registry);
+// this header is the read side that turns captured snapshots into reports.
+// Everything here is deterministic given its inputs except the *_ns timer
+// counters and wall_seconds, which measure real time.
 #pragma once
 
 #include <cstdint>
@@ -98,7 +97,8 @@ struct UnitMetrics {
 [[nodiscard]] std::string format_profile(const UnitMetrics& m);
 
 /// Escape a string for embedding in a JSON string literal (quotes not
-/// included). Exposed for the bench report writer.
+/// included; control characters as lowercase \u00xx, per RFC 8259). Shared
+/// by the metrics JSONL, the SARIF writer and the bench report writer.
 [[nodiscard]] std::string json_escape(std::string_view s);
 
 }  // namespace psa::analysis

@@ -140,21 +140,12 @@ std::string ResultCache::entry_path(const CacheKey& key) const {
   return (fs::path(dir_) / (key.hex() + std::string(kEntrySuffix))).string();
 }
 
-ResultCache::Lookup ResultCache::lookup(const CacheKey& key, LookupFault fault,
-                                        EntryTier tier) {
+ResultCache::Lookup ResultCache::lookup(const CacheKey& key, EntryTier tier) {
   const support::Counter miss_counter = tier == EntryTier::kUnit
                                             ? support::Counter::kCacheMisses
                                             : support::Counter::kFuncCacheMisses;
   Lookup result;
   const std::string path = entry_path(key);
-  if (fault == LookupFault::kEvictRace) {
-    // Injected sweep race: the eviction's unlink lands in the window between
-    // the caller's decision to read and the read itself. Because policy
-    // evictions are atomic unlinks, the loser of the race sees a whole-file
-    // miss — never torn bytes — which is exactly what this proves.
-    std::error_code ec;
-    fs::remove(path, ec);
-  }
   std::string bytes;
   if (!read_file(path, bytes)) {
     result.status = Lookup::Status::kMiss;
@@ -181,23 +172,11 @@ ResultCache::Lookup ResultCache::lookup(const CacheKey& key, LookupFault fault,
 }
 
 bool ResultCache::store(const CacheKey& key, std::string_view bytes,
-                        StoreFault fault, EntryTier tier) {
+                        StoreFault /*fault*/, EntryTier tier) {
   const support::Counter store_counter = tier == EntryTier::kUnit
                                              ? support::Counter::kCacheStores
                                              : support::Counter::kFuncCacheStores;
   const std::string final_path = entry_path(key);
-
-  if (fault == StoreFault::kTear) {
-    // Injected torn write: half the bytes, straight to the final path, no
-    // rename guard — the worst crash the real write path is designed to
-    // make impossible. The next lookup must evict it.
-    std::ofstream out(final_path, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
-    PSA_COUNT(store_counter);
-    return true;
-  }
-
   const std::string tmp =
       final_path + ".tmp." + std::to_string(writer_id()) + "-" +
       std::to_string(tmp_seq_++);
@@ -209,23 +188,6 @@ bool ResultCache::store(const CacheKey& key, std::string_view bytes,
     PSA_COUNT(support::Counter::kIoDegradations);
     return false;
   }
-
-  if (fault == StoreFault::kFlip) {
-    // Injected single-bit rot in the middle of a completed entry; the
-    // PSASNAP1 checksum must catch it on the next lookup.
-    std::fstream flip(final_path,
-                      std::ios::binary | std::ios::in | std::ios::out);
-    if (flip) {
-      const std::streamoff off =
-          static_cast<std::streamoff>(bytes.size() / 2);
-      flip.seekg(off);
-      char c = 0;
-      flip.get(c);
-      flip.seekp(off);
-      flip.put(static_cast<char>(c ^ 0x01));
-    }
-  }
-
   PSA_COUNT(store_counter);
   return true;
 }

@@ -58,17 +58,8 @@
 
 namespace psa::cache {
 
-/// Deliberate store-side fault injection (docs/RESILIENCE.md), mapped from
-/// driver::FaultKind by the worker. Tear = truncated bytes written straight
-/// to the final path (a simulated crash with no rename guard); flip = one
-/// bit flipped after a completed store.
-enum class StoreFault : std::uint8_t { kNone, kTear, kFlip };
-
-/// Lookup-side fault injection (driver::FaultKind::kEvictRace): the entry
-/// vanishes between the caller's decision to read and the read itself — the
-/// exact window a concurrent sweeper's unlink can land in. Must degrade to a
-/// clean miss.
-enum class LookupFault : std::uint8_t { kNone, kEvictRace };
+/// Only kNone: kept because perfbench/corpus.cpp passes it; remove together.
+enum class StoreFault : std::uint8_t { kNone };
 
 /// Which metrics vocabulary a probe counts into. Entries are otherwise
 /// identical (same directory, same envelope validation, same sweep policy):
@@ -101,14 +92,15 @@ class ResultCache {
   /// misses on kMiss/kEvicted (an evicted entry IS a miss — the caller
   /// recomputes) in the `tier`'s vocabulary; eviction additionally counts
   /// cache_evictions. A hit touches the entry's mtime (best effort) so
-  /// sweep() evicts by recency of use. `fault` injects the sweep-race window
-  /// (LookupFault).
+  /// sweep() evicts by recency of use. An entry that vanishes before the
+  /// whole-file read (a concurrent sweep's unlink) is a plain kMiss.
   [[nodiscard]] Lookup lookup(const CacheKey& key,
-                              LookupFault fault = LookupFault::kNone,
                               EntryTier tier = EntryTier::kUnit);
 
-  /// Atomically store entry bytes (write .tmp, rename). Returns false on I/O
-  /// failure; never throws. Counts the `tier`'s store counter on success.
+  /// Atomically store entry bytes (support::io::atomic_write: write .tmp,
+  /// fsync, rename), so no torn entry ever lands at the final path. Returns
+  /// false on I/O failure; never throws. Counts the `tier`'s store counter on
+  /// success. `fault` is always StoreFault::kNone.
   bool store(const CacheKey& key, std::string_view bytes,
              StoreFault fault = StoreFault::kNone,
              EntryTier tier = EntryTier::kUnit);
@@ -165,7 +157,8 @@ class ResultCache {
   /// Counts cache_sweep_runs / cache_sweep_evictions / cache_sweep_bytes.
   SweepReport sweep(const SweepLimits& limits);
 
-  /// Path of the entry for `key` (tests and the fault drill corrupt it).
+  /// Path of the entry for `key` (tests and the cache drill corrupt it to
+  /// model on-disk rot).
   [[nodiscard]] std::string entry_path(const CacheKey& key) const;
 
  private:

@@ -6,34 +6,11 @@
 #include <array>
 #include <sstream>
 
+#include "analysis/profile.hpp"
+
 namespace psa::checker {
 
 namespace {
-
-/// JSON string escaping per RFC 8259 (control characters as \u00XX).
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char hex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(static_cast<unsigned char>(c) >> 4) & 0xF];
-          out += hex[static_cast<unsigned char>(c) & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Tiny streaming JSON writer: tracks nesting and comma placement so the
 /// SARIF structure below stays readable.
@@ -49,7 +26,7 @@ class JsonWriter {
   void key(std::string_view k) {
     comma();
     newline();
-    os_ << '"' << json_escape(k) << "\":";
+    os_ << '"' << analysis::json_escape(k) << "\":";
     if (pretty_) os_ << ' ';
     pending_value_ = true;
   }
@@ -57,7 +34,7 @@ class JsonWriter {
   void value(std::string_view v) {
     comma();
     newline();
-    os_ << '"' << json_escape(v) << '"';
+    os_ << '"' << analysis::json_escape(v) << '"';
     first_ = false;
   }
   void value(std::uint64_t v) {

@@ -12,13 +12,9 @@ std::string_view to_string(FaultKind kind) {
   switch (kind) {
     case FaultKind::kNone: return "none";
     case FaultKind::kCrash: return "crash";
-    case FaultKind::kSegv: return "segv";
     case FaultKind::kHang: return "hang";
     case FaultKind::kOom: return "oom";
     case FaultKind::kThrow: return "throw";
-    case FaultKind::kCacheTear: return "cachetear";
-    case FaultKind::kCacheFlip: return "cacheflip";
-    case FaultKind::kEvictRace: return "evictrace";
   }
   return "?";
 }
@@ -26,10 +22,8 @@ std::string_view to_string(FaultKind kind) {
 namespace {
 
 bool parse_kind(std::string_view s, FaultKind& out) {
-  for (const auto kind : {FaultKind::kCrash, FaultKind::kSegv, FaultKind::kHang,
-                          FaultKind::kOom, FaultKind::kThrow,
-                          FaultKind::kCacheTear, FaultKind::kCacheFlip,
-                          FaultKind::kEvictRace}) {
+  for (const auto kind : {FaultKind::kCrash, FaultKind::kHang, FaultKind::kOom,
+                          FaultKind::kThrow}) {
     if (s == to_string(kind)) {
       out = kind;
       return true;
@@ -74,21 +68,12 @@ void inject_fault(FaultKind kind) {
       return;
     case FaultKind::kCrash:
       std::abort();
-    case FaultKind::kSegv: {
-      volatile int* p = nullptr;
-      *p = 42;  // NOLINT: the point is the invalid write
-      return;   // unreachable
-    }
     case FaultKind::kHang:
       for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
     case FaultKind::kOom:
       throw std::bad_alloc();
     case FaultKind::kThrow:
       throw std::runtime_error("injected fault: throw");
-    case FaultKind::kCacheTear:
-    case FaultKind::kCacheFlip:
-    case FaultKind::kEvictRace:
-      return;  // honored at their dedicated fault points, not here
   }
 }
 

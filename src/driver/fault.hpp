@@ -6,14 +6,12 @@
 // supervisor itself and the in-process fallback never inject, so a stray
 // environment variable can degrade at most one unit per batch, never the
 // batch itself. Tests and the CI crash-injection job use this to prove the
-// supervisor contains crashes, hangs and OOM (docs/RESILIENCE.md).
+// supervisor contains crashes, hangs, OOM and uncaught exceptions
+// (docs/RESILIENCE.md).
 //
 // Kinds:
 //   crash  std::abort() — dies by SIGABRT under every build mode (ASan does
 //          not intercept abort), the deterministic "analyzer defect".
-//   segv   write through a null pointer. Dies by SIGSEGV in plain builds;
-//          under ASan the report path exits nonzero instead, so tests that
-//          must be classification-exact use `crash`.
 //   hang   sleep forever — exercises the watchdog's SIGTERM -> SIGKILL
 //          escalation.
 //   oom    throw std::bad_alloc — exercises the worker's allocation-failure
@@ -22,18 +20,9 @@
 //   throw  throw std::runtime_error — an uncaught analyzer exception
 //          (exit code kUncaughtExceptionExitCode).
 //
-// Result-cache fault points (docs/CACHING.md) — these do not kill the
-// worker; they corrupt its side effects so the self-healing paths can be
-// proven:
-//   cachetear  the result-cache store writes a truncated entry directly to
-//              the final path, simulating a crash mid-write with no rename
-//              guard. The next lookup must reject and evict it.
-//   cacheflip  the store completes, then one bit of the entry is flipped on
-//              disk. The PSASNAP1 checksum must catch it on the next lookup.
-//   evictrace  a cache lookup loses the race against a concurrent sweep:
-//              the entry vanishes between the decision to read and the read
-//              itself. Must surface as a clean miss (recompute), never as
-//              torn bytes.
+// Durable-write failures (cache stores, checkpoints, journals) are not
+// injected here: PSA_IO_FAULT owns them (support/io.hpp). On-disk rot of a
+// completed cache entry is tested by editing the entry file.
 #pragma once
 
 #include <cstdint>
@@ -46,13 +35,9 @@ namespace psa::driver {
 enum class FaultKind : std::uint8_t {
   kNone = 0,
   kCrash,
-  kSegv,
   kHang,
   kOom,
   kThrow,
-  kCacheTear,
-  kCacheFlip,
-  kEvictRace,
 };
 
 [[nodiscard]] std::string_view to_string(FaultKind kind);
@@ -75,9 +60,7 @@ class FaultPlan {
 };
 
 /// Trigger `kind` at the call site. kNone returns immediately; kOom and
-/// kThrow raise; kCrash, kSegv and kHang never return. The cache kinds are
-/// no-ops here: they are honored at their dedicated fault points (cache
-/// store and lookup) rather than at worker startup.
+/// kThrow raise; kCrash and kHang never return.
 void inject_fault(FaultKind kind);
 
 }  // namespace psa::driver

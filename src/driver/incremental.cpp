@@ -49,7 +49,7 @@ std::optional<ipa::FunctionSummary> CachedSummaries::lookup(
       program_, fn, options_, salvage_, callee_deps(fn.cfg, interner, table));
   bool self_heal = false;
   cache::ResultCache::Lookup found =
-      cache_.lookup(key, cache::LookupFault::kNone, cache::EntryTier::kFunction);
+      cache_.lookup(key, cache::EntryTier::kFunction);
   if (found.status == cache::ResultCache::Lookup::Status::kHit) {
     try {
       ipa::FunctionSummary summary =

@@ -130,27 +130,6 @@ bool cacheable(const UnitPayload& payload, const analysis::Options& engine) {
          (engine.deadline_ms == 0 || payload.result.degradation.empty());
 }
 
-/// PSA_FAULT_AT cache fault points (docs/RESILIENCE.md). Unlike the
-/// process-killing kinds, these are honored wherever the store runs — the
-/// corruption they plant is contained by the cache's own validation, so
-/// there is nothing to sandbox.
-cache::StoreFault store_fault_for(const AnalysisUnit& unit) {
-  switch (FaultPlan::from_env().for_unit(unit.name)) {
-    case FaultKind::kCacheTear:
-      return cache::StoreFault::kTear;
-    case FaultKind::kCacheFlip:
-      return cache::StoreFault::kFlip;
-    default:
-      return cache::StoreFault::kNone;
-  }
-}
-
-cache::LookupFault lookup_fault_for(const AnalysisUnit& unit) {
-  return FaultPlan::from_env().for_unit(unit.name) == FaultKind::kEvictRace
-             ? cache::LookupFault::kEvictRace
-             : cache::LookupFault::kNone;
-}
-
 /// One cache probe, timed as the cache-lookup phase. A hit returns the
 /// deserialized payload and leaves the entry's bytes in `bytes`. An entry
 /// that is corrupt, version-skewed or (past the envelope check) hostile is
@@ -160,7 +139,6 @@ cache::LookupFault lookup_fault_for(const AnalysisUnit& unit) {
 /// lookup's own cost in the served payload.
 std::optional<UnitPayload> probe_cache(cache::ResultCache& cache,
                                        const cache::CacheKey& key,
-                                       cache::LookupFault fault,
                                        cache::EntryTier tier,
                                        std::string& bytes) {
   std::optional<UnitPayload> hit;
@@ -168,7 +146,7 @@ std::optional<UnitPayload> probe_cache(cache::ResultCache& cache,
   {
     PSA_PHASE_TIMER(lookup_timer, support::Counter::kPhaseCacheLookupWallNs,
                     support::Counter::kPhaseCacheLookupCpuNs);
-    cache::ResultCache::Lookup found = cache.lookup(key, fault, tier);
+    cache::ResultCache::Lookup found = cache.lookup(key, tier);
     if (found.status == cache::ResultCache::Lookup::Status::kHit) {
       try {
         hit = deserialize_unit_payload(found.bytes);
@@ -231,8 +209,7 @@ std::string run_unit_serialized(const AnalysisUnit& unit,
       key = cache::cache_key(program, engine, check, salvage);
       std::string hit_bytes;
       if (std::optional<UnitPayload> cached =
-              probe_cache(*cache, key, lookup_fault_for(unit),
-                          cache::EntryTier::kUnit, hit_bytes)) {
+              probe_cache(*cache, key, cache::EntryTier::kUnit, hit_bytes)) {
         // Re-issue under this run's identity and metrics: the report fields
         // (result, findings, salvage summary) are byte-equal to a cold run;
         // only the truthful counters (cache_hits, lookup timers) differ in
@@ -268,14 +245,14 @@ std::string run_unit_serialized(const AnalysisUnit& unit,
           callee_deps(program.cfg, program.interner(), summaries));
       func_key_valid = true;
       if (std::optional<UnitPayload> cached =
-              probe_cache(*cache, func_key, cache::LookupFault::kNone,
-                          cache::EntryTier::kFunction, hit_bytes)) {
+              probe_cache(*cache, func_key, cache::EntryTier::kFunction,
+                          hit_bytes)) {
         cached->unit_name = unit.name;
         cached->function = unit.function;
         cached->metrics = unit_metrics.delta();
         // Promote to the unit fast path: the next unedited run of this unit
         // hits the unit entry without touching the function tier.
-        (void)cache->store(key, hit_bytes, store_fault_for(unit));
+        (void)cache->store(key, hit_bytes);
         return serialize_unit_payload(*cached, *cached->interner);
       }
     }
@@ -302,14 +279,15 @@ std::string run_unit_serialized(const AnalysisUnit& unit,
     payload.metrics = unit_metrics.delta();
     std::string bytes = serialize_unit_payload(payload, program.interner());
     if (cache != nullptr && cacheable(payload, engine)) {
-      // Store failure (disk full, permissions) degrades to "no cache". The
+      // Store failure (disk full, permissions, an injected PSA_IO_FAULT)
+      // degrades to "no cache". The
       // same bytes land under both keys: the unit entry is the fast path,
       // the function-tier result entry survives sibling edits.
       if (func_key_valid) {
         (void)cache->store(func_key, bytes, cache::StoreFault::kNone,
                            cache::EntryTier::kFunction);
       }
-      (void)cache->store(key, bytes, store_fault_for(unit));
+      (void)cache->store(key, bytes);
     }
     return bytes;
   } catch (const analysis::FrontendError& e) {

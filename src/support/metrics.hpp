@@ -9,17 +9,15 @@
 // versioned JSONL records. docs/OBSERVABILITY.md maps every counter to its
 // paper concept.
 //
-// Design constraints, in order:
-//   1. Cheap when on: one relaxed atomic add per counted *operation* (an
-//      operation is a graph transform, orders of magnitude heavier than the
+// Design constraints:
+//   1. Cheap: one relaxed atomic add per counted *operation* (an operation
+//      is a graph transform, orders of magnitude heavier than the
 //      increment). Hot loops accumulate locally and flush once per call.
-//   2. Free when off: compiling with -DPSA_METRICS=0 expands every PSA_COUNT
-//      site to an unevaluated no-op (arguments are only sizeof-inspected, so
-//      metrics-only locals stay "used" without emitting code) and routes the
-//      conceptual sink through the zero-size NoopMetricsSink.
-//   3. ODR-safe across mixed builds: class layouts never depend on
-//      PSA_METRICS — only the function-style macros switch. A TU compiled
-//      with metrics off can link against a library compiled with them on.
+//   2. Always compiled in: there is no build switch that removes the
+//      counting sites. Removing them was not measurably faster on the
+//      Table-1 codes (docs/OBSERVABILITY.md, "Overhead"), and the result
+//      cache's tests, the batch metrics stream and the benchmark's answer
+//      checks all read these counters.
 //
 // Counters are process-global and monotonic (they only ever grow — tested in
 // tests/support/metrics_test.cpp). Interval attribution uses MetricsRegion:
@@ -33,10 +31,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string_view>
-
-#ifndef PSA_METRICS
-#define PSA_METRICS 1
-#endif
 
 namespace psa::support {
 
@@ -220,17 +214,8 @@ class MetricsRegistry {
   std::array<std::atomic<std::uint64_t>, kCounterCount> counters_{};
 };
 
-/// The compile-out sink: when PSA_METRICS=0, every counting site conceptually
-/// targets this. Zero-size and stateless, so the optimizer erases it — the
-/// metrics-off build test asserts std::is_empty_v<NoopMetricsSink> and that
-/// no registry value moves.
-struct NoopMetricsSink {
-  static constexpr void add(Counter, std::uint64_t) noexcept {}
-};
-
 /// Interval attribution: counter deltas between construction and delta().
-/// Nests freely (a region is just a baseline snapshot). With metrics off,
-/// every delta is all-zero.
+/// Nests freely (a region is just a baseline snapshot).
 class MetricsRegion {
  public:
   MetricsRegion() : baseline_(MetricsRegistry::instance().snapshot()) {}
@@ -247,8 +232,7 @@ class MetricsRegion {
 [[nodiscard]] std::uint64_t process_cpu_ns() noexcept;
 
 /// RAII phase timer: adds elapsed wall + process-CPU nanoseconds to the two
-/// given timer counters at scope exit. Instantiate through PSA_PHASE_TIMER
-/// so metrics-off builds pay nothing.
+/// given timer counters at scope exit. Instantiate through PSA_PHASE_TIMER.
 class PhaseTimer {
  public:
   PhaseTimer(Counter wall, Counter cpu) noexcept;
@@ -266,21 +250,10 @@ class PhaseTimer {
 
 }  // namespace psa::support
 
-// Counting-site macros. Only these switch on PSA_METRICS — class layouts
-// above are identical in both modes, so mixed-setting TUs link safely.
-#if PSA_METRICS
+// Counting-site macros.
 #define PSA_COUNT(counter) \
   (::psa::support::MetricsRegistry::instance().add((counter), 1))
 #define PSA_COUNT_N(counter, n) \
   (::psa::support::MetricsRegistry::instance().add((counter), (n)))
 #define PSA_PHASE_TIMER(var, wall, cpu) \
   const ::psa::support::PhaseTimer var((wall), (cpu))
-#else
-// Arguments appear only inside sizeof, so they are never evaluated but
-// metrics-only locals still count as used under -Werror=unused.
-#define PSA_COUNT(counter) ((void)sizeof(((void)(counter), 0)))
-#define PSA_COUNT_N(counter, n) \
-  ((void)sizeof(((void)(counter), (void)(n), 0)))
-#define PSA_PHASE_TIMER(var, wall, cpu) \
-  ((void)sizeof(((void)(wall), (void)(cpu), 0)))
-#endif

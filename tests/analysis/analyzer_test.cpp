@@ -76,7 +76,6 @@ TEST(AnalyzerTest, EmptyMainConverges) {
   EXPECT_TRUE(result.converged());
 }
 
-#if PSA_METRICS
 TEST(AnalyzerTest, SalvagedPrepareBumpsTheSalvageCounters) {
   FrontendOptions frontend;
   frontend.salvage = true;
@@ -106,7 +105,6 @@ TEST(AnalyzerTest, CleanPrepareLeavesTheSalvageCountersUntouched) {
   EXPECT_EQ(delta[support::Counter::kSkippedDecls], 0u);
   EXPECT_EQ(delta[support::Counter::kSalvagedUnits], 0u);
 }
-#endif  // PSA_METRICS
 
 }  // namespace
 }  // namespace psa::analysis

@@ -43,10 +43,8 @@ TEST(ProfileTest, OperationCountersAreDeterministicAcrossRuns) {
   const auto second = analyze_program(program, {});
   ASSERT_TRUE(first.converged());
   ASSERT_TRUE(second.converged());
-#if PSA_METRICS
   EXPECT_GT(first.ops[Counter::kWorklistVisits], 0u);
   EXPECT_GT(first.ops[Counter::kJoinAttempts], 0u);
-#endif
   // Same input, same options: every non-timer counter must match exactly.
   EXPECT_TRUE(first.ops.same_operations(second.ops));
 }
@@ -226,9 +224,7 @@ TEST(ProfileTest, FormatProfileListsEverySection) {
   EXPECT_NE(table.find("rsg operations:"), std::string::npos);
   EXPECT_NE(table.find("governor:"), std::string::npos);
   EXPECT_NE(table.find("gauges:"), std::string::npos);
-#if PSA_METRICS
   EXPECT_NE(table.find("join"), std::string::npos);
-#endif
 }
 
 }  // namespace

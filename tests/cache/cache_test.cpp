@@ -60,6 +60,19 @@ CacheKey key_of(std::string_view source, const analysis::Options& options = {},
   return cache_key(program, options, check, salvage);
 }
 
+/// Flip one bit in the middle of the file at `path`: on-disk rot of a
+/// completed entry.
+void flip_middle_bit(const std::string& path) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekg(0, std::ios::end);
+  const auto middle = static_cast<std::streamoff>(f.tellg()) / 2;
+  char byte = 0;
+  f.seekg(middle);
+  f.get(byte);
+  f.seekp(middle);
+  f.put(static_cast<char>(byte ^ 0x10));
+}
+
 class ResultCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -219,9 +232,9 @@ TEST_F(ResultCacheTest, StoreLeavesNoTmpStragglers) {
 TEST_F(ResultCacheTest, SingleBitFlipIsRejectedAndQuarantined) {
   ResultCache cache(dir_);
   const CacheKey key = key_of(kSourceA);
-  // StoreFault::kFlip stores normally, then flips one bit in the entry —
-  // the PSA_FAULT_AT=cacheflip path in miniature.
-  ASSERT_TRUE(cache.store(key, real_payload_bytes(), StoreFault::kFlip));
+  // A completed store, then one bit of the entry file rots on disk.
+  ASSERT_TRUE(cache.store(key, real_payload_bytes()));
+  flip_middle_bit(cache.entry_path(key));
 
   support::MetricsRegion region;
   const ResultCache::Lookup lookup = cache.lookup(key);
@@ -246,9 +259,14 @@ TEST_F(ResultCacheTest, SingleBitFlipIsRejectedAndQuarantined) {
 TEST_F(ResultCacheTest, TornWriteIsRejected) {
   ResultCache cache(dir_);
   const CacheKey key = key_of(kSourceA);
-  // StoreFault::kTear simulates a crash mid-write with no rename guard:
-  // truncated bytes sitting at the final entry path.
-  ASSERT_TRUE(cache.store(key, real_payload_bytes(), StoreFault::kTear));
+  // Truncated bytes sitting at the final entry path: what a writer without
+  // the tmp-rename guard would leave behind after a crash mid-write.
+  const std::string bytes = real_payload_bytes();
+  {
+    std::ofstream torn(cache.entry_path(key),
+                       std::ios::binary | std::ios::trunc);
+    torn.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
+  }
   EXPECT_EQ(cache.lookup(key).status, ResultCache::Lookup::Status::kEvicted);
 }
 
@@ -476,16 +494,17 @@ TEST_F(SweepTest, ConcurrentSweeperSkipsInsteadOfRacing) {
   EXPECT_EQ(unblocked.evicted, 1u);
 }
 
-TEST_F(SweepTest, EvictRaceFaultIsACleanMiss) {
-  // PSA_FAULT_AT=unit:evictrace in miniature: the entry vanishes between
-  // the decision to read and the read. Must be a plain miss — no torn
-  // bytes, no spurious corruption eviction.
+TEST_F(SweepTest, VanishedEntryIsACleanMiss) {
+  // A concurrent sweep's unlink lands between the decision to read and the
+  // read. Must be a plain miss — no torn bytes, no spurious corruption
+  // eviction.
   ResultCache cache(dir_);
   const CacheKey key = synthetic_key(1);
   ASSERT_TRUE(cache.store(key, payload_));
+  ASSERT_TRUE(fs::remove(cache.entry_path(key)));
 
   support::MetricsRegion region;
-  const ResultCache::Lookup raced = cache.lookup(key, LookupFault::kEvictRace);
+  const ResultCache::Lookup raced = cache.lookup(key);
   EXPECT_EQ(raced.status, ResultCache::Lookup::Status::kMiss);
   EXPECT_TRUE(raced.bytes.empty());
   const support::MetricsSnapshot delta = region.delta();
@@ -635,21 +654,10 @@ TEST_F(WarmCacheTest, CorruptEntrySelfHealsWithIdenticalReport) {
       inline_unit("a.c", kSourceA)};
   const driver::BatchResult cold = driver::run_batch(units, cached_options());
 
-  // Flip one bit in the stored entry (what PSA_FAULT_AT=cacheflip does).
   ResultCache cache(dir_);
   const std::string path = cache.entry_path(key_of(kSourceA));
   ASSERT_TRUE(fs::exists(path));
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekg(0, std::ios::end);
-    const auto size = static_cast<std::streamoff>(f.tellg());
-    f.seekp(size / 2);
-    char byte = 0;
-    f.seekg(size / 2);
-    f.get(byte);
-    f.seekp(size / 2);
-    f.put(static_cast<char>(byte ^ 0x10));
-  }
+  flip_middle_bit(path);
 
   support::MetricsRegion region;
   const driver::BatchResult healed = driver::run_batch(units, cached_options());
@@ -724,24 +732,34 @@ TEST_F(WarmCacheTest, WarmHitPayloadCarriesItsOwnLookupTime) {
   EXPECT_GT(served[support::Counter::kPhaseCacheLookupWallNs], 0u);
 }
 
-TEST_F(WarmCacheTest, FaultInjectedTearNeverFailsTheUnit) {
-  // PSA_FAULT_AT=a.c:cachetear — the store is sabotaged, the analysis
-  // succeeds anyway, and the damaged entry self-heals on the next run.
-  ::setenv("PSA_FAULT_AT", "a.c:cachetear", 1);
+TEST_F(WarmCacheTest, FailedStoreNeverFailsTheUnit) {
+  // Every entry store fails half-way (PSA_IO_FAULT, support/io.hpp): the
+  // analysis succeeds anyway, no entry lands at its final path, and the
+  // next clean run recomputes and stores the unit.
   const std::vector<driver::AnalysisUnit> units = {
       inline_unit("a.c", kSourceA)};
-  const driver::BatchResult torn = driver::run_batch(units, cached_options());
-  ::unsetenv("PSA_FAULT_AT");
-  EXPECT_EQ(torn.units[0].outcome.kind, driver::UnitOutcomeKind::kOk);
+  ::setenv("PSA_IO_FAULT", "@.entry:shortwrite", 1);
+  const driver::BatchResult faulted =
+      driver::run_batch(units, cached_options());
+  ::unsetenv("PSA_IO_FAULT");
+  EXPECT_EQ(faulted.units[0].outcome.kind, driver::UnitOutcomeKind::kOk);
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    EXPECT_NE(entry.path().extension(), ".entry")
+        << "entry published by a failed store: " << entry.path();
+  }
 
   support::MetricsRegion region;
   const driver::BatchResult healed = driver::run_batch(units, cached_options());
   EXPECT_EQ(healed.units[0].outcome.kind, driver::UnitOutcomeKind::kOk);
-  // The torn entry was quarantined by the startup scan and recomputed.
+  // Nothing was ever published, so nothing is quarantined and the unit is
+  // a clean miss.
+  EXPECT_FALSE(fs::exists(fs::path(dir_) / "quarantine"));
   const support::MetricsSnapshot delta = region.delta();
-  EXPECT_EQ(delta[support::Counter::kCacheEvictions], 1u);
   EXPECT_EQ(delta[support::Counter::kCacheMisses], 1u);
   EXPECT_EQ(delta[support::Counter::kCacheHits], 0u);
+  EXPECT_EQ(delta[support::Counter::kCacheStores], 1u);
+  EXPECT_EQ(driver::format_batch_report(healed),
+            driver::format_batch_report(faulted));
 
   support::MetricsRegion warm_region;
   (void)driver::run_batch(units, cached_options());

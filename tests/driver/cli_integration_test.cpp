@@ -4,7 +4,8 @@
 // --resume, and the final report is byte-identical to an uninterrupted run
 // while the unit-level logs show the finished units being skipped.
 //
-// The binary under test is baked in via PSA_CLI_PATH (tests/CMakeLists.txt).
+// The binaries under test are baked in via PSA_CLI_PATH and
+// PSA_CHECKER_REPORT_PATH (tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -38,10 +39,11 @@ struct RunResult {
   std::string stdout_text;
 };
 
-/// Run the CLI via popen, capturing stdout (stderr goes to the 2> file so
+/// Run `binary` via popen, capturing stdout (stderr goes to the 2> file so
 /// log assertions can read it).
-RunResult run_cli(const std::string& args, const std::string& stderr_path) {
-  const std::string command = std::string(PSA_CLI_PATH) + " " + args + " 2>" +
+RunResult run_program(const std::string& binary, const std::string& args,
+                      const std::string& stderr_path) {
+  const std::string command = binary + " " + args + " 2>" +
                               (stderr_path.empty() ? "/dev/null"
                                                    : stderr_path);
   RunResult result;
@@ -59,6 +61,10 @@ RunResult run_cli(const std::string& args, const std::string& stderr_path) {
   result.exit_code = status;
 #endif
   return result;
+}
+
+RunResult run_cli(const std::string& args, const std::string& stderr_path) {
+  return run_program(PSA_CLI_PATH, args, stderr_path);
 }
 
 std::string slurp(const std::string& path) {
@@ -149,6 +155,18 @@ TEST_F(CliTest, ExitCode2BadUsage) {
   EXPECT_EQ(run_cli(clean + " --timeout-ms=1x", "").exit_code, 2);
   EXPECT_EQ(run_cli(clean + " --max-visits=-1", "").exit_code, 2);
   EXPECT_EQ(run_cli(clean + " --cache-max-age=-5", "").exit_code, 2);
+}
+
+TEST_F(CliTest, CheckerReportRejectsBadLevel) {
+  // checker_report parses --level as a whole number too: no missing digits,
+  // no trailing junk. --buggy-only keeps a wrongly accepted run short.
+  for (const std::string level : {"--level=abc", "--level=", "--level=2x"}) {
+    EXPECT_EQ(
+        run_program(PSA_CHECKER_REPORT_PATH, level + " --buggy-only", "")
+            .exit_code,
+        2)
+        << level;
+  }
 }
 
 TEST_F(CliTest, ExitCode3SomeUnitsFailed) {

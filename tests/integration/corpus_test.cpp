@@ -151,20 +151,16 @@ TEST(CorpusTest, ListPipelinePreparesWithoutDegradation) {
 
 TEST(CorpusTest, ListPipelineSummarizesEveryCallAndStaysClean) {
   const auto program = prepare(corpus::find_program("list_pipeline")->source);
-#if PSA_METRICS
   const support::MetricsRegion region;
-#endif
   const auto result = analysis::analyze_program(program, {});
   ASSERT_TRUE(result.converged());
   EXPECT_FALSE(result.degraded());
-#if PSA_METRICS
   // The burn-down: before summaries, each of the five call sites was a
   // whole-graph havoc; now every one is a summary application.
   const auto delta = region.delta();
   EXPECT_EQ(delta[support::Counter::kCallHavocFallback], 0u);
   EXPECT_GE(delta[support::Counter::kSummaryApplied], 5u);
   EXPECT_GE(delta[support::Counter::kSummaryComputed], 3u);
-#endif
   // Golden findings: exactly one note. release() is summarized, so the
   // region widens to maybe-freed rather than freed — the summary cannot
   // prove the teardown freed *every* cell, and the checkers honestly report

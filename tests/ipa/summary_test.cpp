@@ -156,23 +156,18 @@ TEST(SummaryTest, RecursiveSccReachesAStableSummary) {
       e = last(p);
     }
   )");
-#if PSA_METRICS
   const support::MetricsRegion region;
-#endif
   const SummaryTable table = compute_summaries(program, {});
   const FunctionSummary& last = summary_of(table, program, "last");
   ASSERT_TRUE(last.analyzed);
   EXPECT_NE(last.ret_kinds & kRetNull, 0);
   EXPECT_NE(last.ret_kinds & kRetParamDerived, 0);
-#if PSA_METRICS
   const support::MetricsSnapshot delta = region.delta();
   // At least two Kleene passes: one that grows, one that proves stability.
   EXPECT_GE(delta[support::Counter::kSummaryFixpointIters], 2u);
   EXPECT_GE(delta[support::Counter::kSummaryComputed], 2u);
-#endif
 }
 
-#if PSA_METRICS
 TEST(SummaryTest, CleanUnitAnalyzesWithoutAnyHavocFallback) {
   const ProgramAnalysis program = analysis::prepare(kListPipeline);
   EXPECT_EQ(program.salvage.havoc_sites, 0u);
@@ -233,7 +228,6 @@ TEST(SummaryTest, OverBudgetSccFallsBackToHavocSoundly) {
   }
   EXPECT_TRUE(any_tainted);
 }
-#endif  // PSA_METRICS
 
 TEST(SummaryTest, WrapperOfUnanalyzedFreeingCalleeDegradesToFallback) {
   // spin() frees argument-reachable cells but its SCC can never stabilize
