@@ -101,16 +101,16 @@ void BM_Fig2_Union(benchmark::State& state) {
 }
 BENCHMARK(BM_Fig2_Union);
 
-void BM_Fig2_FingerprintEquality(benchmark::State& state) {
-  // The fixpoint's stabilization check.
+void BM_Fig2_CanonicalKey(benchmark::State& state) {
+  // The fixpoint's equality check: one canonical key per graph.
   Snapshot& snap = snapshot();
   for (auto _ : state) {
     for (const rsg::Rsg& g : snap.set->graphs()) {
-      benchmark::DoNotOptimize(rsg::fingerprint(g));
+      benchmark::DoNotOptimize(rsg::canonical_key(g));
     }
   }
 }
-BENCHMARK(BM_Fig2_FingerprintEquality);
+BENCHMARK(BM_Fig2_CanonicalKey);
 
 }  // namespace
 
@@ -149,9 +149,9 @@ int main(int argc, char** argv) {
       for (const rsg::Rsg& g : snap.set->graphs()) reduced.insert(g, policy);
       benchmark::DoNotOptimize(reduced);
     }));
-    report.add_sample("fingerprint", psa::bench::time_op(iters, [&] {
+    report.add_sample("canonical_key", psa::bench::time_op(iters, [&] {
       for (const rsg::Rsg& g : snap.set->graphs()) {
-        benchmark::DoNotOptimize(rsg::fingerprint(g));
+        benchmark::DoNotOptimize(rsg::canonical_key(g));
       }
     }));
   }

@@ -8,11 +8,12 @@
 //
 // Absolute values are not comparable to the paper's Pentium III 500 MHz /
 // 128 MB: what reproduces is the *shape* — costs grow with the level on the
-// sparse codes, Sparse LU is the resource-exhaustion case at every level
-// (the paper OOM'd at L2/L3; we stop it at a deterministic statement-visit
-// budget), and Barnes-Hut needs the engine's widening, whose cost is nearly
-// level-independent (the paper instead paid a 17-minute L1). See
-// EXPERIMENTS.md for the side-by-side discussion.
+// sparse codes, Sparse LU is the heaviest row at every level (the paper ran
+// out of its 128 MB at L2/L3; ours converges at every level and, with the
+// transfer cache holding canonical keys instead of graph copies, stays
+// under 128 MB there too), and Barnes-Hut needs the engine's widening,
+// whose cost is nearly level-independent (the paper instead paid a
+// 17-minute L1). See EXPERIMENTS.md for the side-by-side discussion.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -32,8 +33,9 @@ struct Cell {
 analysis::Options options_for(const char* name, rsg::AnalysisLevel level) {
   analysis::Options options;
   options.level = level;
-  // Sparse LU is the paper's resource-exhaustion row: a deterministic
-  // statement-visit budget stands in for their 128 MB ceiling.
+  // Sparse LU is the heaviest row. It converges at every level within
+  // 13,584 statement visits; the 20,000-visit budget stays as a guard that
+  // no cell reaches, so a cell that stops at it flags a regression.
   if (std::string_view(name) == "sparse_lu") options.max_node_visits = 20'000;
   return options;
 }

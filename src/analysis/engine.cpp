@@ -4,6 +4,7 @@
 #include <deque>
 #include <set>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "support/metrics.hpp"
 #include "support/timer.hpp"
@@ -81,6 +82,11 @@ class Engine {
         }
       }
     };
+
+    // The usual entry input (every pvar NULL) and the keys of the entry
+    // inputs: the entry's fresh inputs point at them during its fan-out.
+    const std::vector<rsg::Rsg> empty_entry(1);
+    std::vector<rsg::CanonicalKey> entry_keys;
 
     AnalysisStatus status = AnalysisStatus::kConverged;
     std::uint64_t visits = 0;
@@ -256,6 +262,13 @@ class Engine {
         continue;
       }
 
+      // Each stage of the visit books its wall time to its own timer.
+      std::uint64_t stage_start = support::steady_now_ns();
+      const auto end_stage = [&](support::Counter stage) {
+        const std::uint64_t now = support::steady_now_ns();
+        PSA_COUNT_N(stage, now - stage_start);
+        stage_start = now;
+      };
       const cfg::NodeId id = worklist.front();
       worklist.pop_front();
       queued[id] = false;
@@ -274,43 +287,45 @@ class Engine {
       // the input graph and outputs accumulate). This memoization makes the
       // per-visit cost proportional to the number of *new* input graphs.
       auto& cache = transfer_cache_[id];
-      std::vector<std::pair<std::uint64_t, std::size_t>> fresh_keys;
-      const auto consider = [&](const rsg::Rsg& g, std::uint64_t fp) {
-        auto& bucket = cache.by_fp[fp];
-        for (const rsg::Rsg& known : bucket) {
-          if (rsg::rsg_equal(known, g)) {
-            PSA_COUNT(support::Counter::kTransferCacheHits);
-            return;
-          }
+      // The fresh inputs of this visit and their keys. Both point into the
+      // predecessors' states (or the entry states), which stay untouched
+      // until the insert loop below.
+      std::vector<const rsg::Rsg*> fresh;
+      std::vector<const rsg::CanonicalKey*> fresh_keys;
+      const auto consider = [&](const rsg::Rsg& g,
+                                const rsg::CanonicalKey& key) {
+        if (cache.seen(key, g)) {
+          PSA_COUNT(support::Counter::kTransferCacheHits);
+          return;
         }
         PSA_COUNT(support::Counter::kTransferCacheMisses);
-        bucket.push_back(g);
-        fresh_keys.emplace_back(fp, bucket.size() - 1);
+        cache.record(key, g);
+        fresh.push_back(&g);
+        fresh_keys.push_back(&key);
       };
-      if (id == cfg_.entry() && cache.by_fp.empty()) {
-        if (options_.entry_states != nullptr &&
-            !options_.entry_states->empty()) {
-          // Summary runs start from the callee's abstracted parameter
-          // bindings instead of the all-NULL configuration.
-          for (const rsg::Rsg& g : *options_.entry_states) {
-            consider(g, rsg::fingerprint(g));
-          }
-        } else {
-          rsg::Rsg empty;
-          consider(empty, rsg::fingerprint(empty));
+      if (id == cfg_.entry() && cache.empty()) {
+        const std::vector<rsg::Rsg>& entry =
+            options_.entry_states != nullptr && !options_.entry_states->empty()
+                // Summary runs start from the callee's abstracted parameter
+                // bindings instead of the all-NULL configuration.
+                ? *options_.entry_states
+                : empty_entry;
+        entry_keys.clear();
+        entry_keys.reserve(entry.size());
+        for (const rsg::Rsg& g : entry) {
+          entry_keys.push_back(rsg::canonical_key(g));
+        }
+        for (std::size_t i = 0; i < entry.size(); ++i) {
+          consider(entry[i], entry_keys[i]);
         }
       }
       for (const cfg::NodeId p : cfg_.node(id).preds) {
         const Rsrsg& pred_out = result.per_node[p];
         for (std::size_t i = 0; i < pred_out.graphs().size(); ++i) {
-          consider(pred_out.graphs()[i], pred_out.fingerprint_at(i));
+          consider(pred_out.graphs()[i], pred_out.key_at(i));
         }
       }
-      std::vector<const rsg::Rsg*> fresh;
-      fresh.reserve(fresh_keys.size());
-      for (const auto& [fp, idx] : fresh_keys) {
-        fresh.push_back(&cache.by_fp[fp][idx]);
-      }
+      end_stage(support::Counter::kPhaseConsiderWallNs);
 
       std::vector<std::vector<rsg::Rsg>> produced(fresh.size());
       // The fan-out is where the combinatorial blow-ups live (a statement
@@ -326,18 +341,17 @@ class Engine {
         if (abort_fanout()) break;
         produced[i] = execute_statement(*fresh[i], cfg_.node(id), ctx_);
       }
-      if (abort_fanout()) {
+      const bool aborted = abort_fanout();
+      end_stage(support::Counter::kPhaseTransferWallNs);
+      if (aborted) {
         // Outputs of an aborted fan-out are partial: un-record the inputs
-        // considered this visit so a later visit re-transfers them (entries
-        // were appended per bucket in fresh_keys order, so reverse pops
-        // restore the cache exactly). Without this the cache would keep
-        // claiming inputs whose outputs never landed — a transient memory
-        // spike that drains before the loop-top check would then lose
-        // may-facts for good.
-        for (auto it = fresh_keys.rbegin(); it != fresh_keys.rend(); ++it) {
-          const auto bucket = cache.by_fp.find(it->first);
-          bucket->second.pop_back();
-          if (bucket->second.empty()) cache.by_fp.erase(bucket);
+        // considered this visit so a later visit re-transfers them (reverse
+        // order restores the fallback buckets exactly). Without this the
+        // cache would keep claiming inputs whose outputs never landed — a
+        // transient memory spike that drains before the loop-top check
+        // would then lose may-facts for good.
+        for (std::size_t i = fresh.size(); i-- > 0;) {
+          cache.forget(*fresh_keys[i]);
         }
         if (governor.poll() == ResourceGovernor::Interrupt::kNone) {
           // Not deadline or cancellation, so the memory budget tripped:
@@ -363,6 +377,7 @@ class Engine {
                                                 options_.enable_join);
         }
       }
+      end_stage(support::Counter::kPhaseJoinWallNs);
       // A degraded statement is held to its rung: fresh precision inserted
       // above is re-coarsened so cost can never creep back. An unchanged
       // set is already conformant (every content change passes through this
@@ -392,6 +407,7 @@ class Engine {
           changed = true;
         }
       }
+      end_stage(support::Counter::kPhaseWidenWallNs);
 
       if (changed || visits == 1) {
         for (const cfg::NodeId s : cfg_.node(id).succs) {
@@ -436,10 +452,43 @@ class Engine {
   }
 
  private:
-  /// Per-node record of input graphs already transferred, bucketed by
-  /// structural fingerprint (collisions resolved exactly by rsg_equal).
+  /// Per-node record of the input graphs already transferred. An input
+  /// with an exact canonical key is remembered by its key alone; only a
+  /// fallback input (no discrete partition) keeps a graph copy, bucketed by
+  /// fingerprint and resolved by rsg_equal.
   struct TransferCache {
-    std::unordered_map<std::uint64_t, std::vector<rsg::Rsg>> by_fp;
+    std::unordered_set<rsg::CanonicalKey, rsg::CanonicalKey::Hash> keys;
+    std::unordered_map<std::uint64_t, std::vector<rsg::Rsg>> fallback;
+
+    [[nodiscard]] bool empty() const {
+      return keys.empty() && fallback.empty();
+    }
+    [[nodiscard]] bool seen(const rsg::CanonicalKey& key,
+                            const rsg::Rsg& g) const {
+      if (key.exact()) return keys.contains(key);
+      const auto bucket = fallback.find(key.hash());
+      if (bucket == fallback.end()) return false;
+      return std::any_of(
+          bucket->second.begin(), bucket->second.end(),
+          [&](const rsg::Rsg& known) { return rsg::rsg_equal(known, g); });
+    }
+    void record(const rsg::CanonicalKey& key, const rsg::Rsg& g) {
+      if (key.exact()) {
+        keys.insert(key);
+      } else {
+        fallback[key.hash()].push_back(g);
+      }
+    }
+    /// Undo the latest record() of `key`.
+    void forget(const rsg::CanonicalKey& key) {
+      if (key.exact()) {
+        keys.erase(key);
+        return;
+      }
+      const auto bucket = fallback.find(key.hash());
+      bucket->second.pop_back();
+      if (bucket->second.empty()) fallback.erase(bucket);
+    }
   };
 
   const cfg::Cfg& cfg_;

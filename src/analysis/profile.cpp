@@ -238,15 +238,54 @@ std::string to_metrics_json(const UnitMetrics& m, std::string_view kind) {
 
 namespace {
 
+/// One `--profile` phase row. Stage rows split the fixpoint rows above
+/// them and have no CPU timer (the stages are timed by wall clock only).
+struct PhaseRow {
+  const char* name;
+  Counter wall;
+  Counter cpu;  // unused for a stage row
+  bool stage = false;
+};
+
+/// Every phase timer, in display order. format_profile prints each one that
+/// ran; tests/analysis/profile_test.cpp checks no timer is missing.
+constexpr PhaseRow kPhaseRows[] = {
+    {"parse", Counter::kPhaseParseWallNs, Counter::kPhaseParseCpuNs},
+    {"cfg", Counter::kPhaseCfgWallNs, Counter::kPhaseCfgCpuNs},
+    {"ipa", Counter::kPhaseIpaWallNs, Counter::kPhaseIpaCpuNs},
+    {"fixpoint L1", Counter::kPhaseFixpointL1WallNs,
+     Counter::kPhaseFixpointL1CpuNs},
+    {"fixpoint L2", Counter::kPhaseFixpointL2WallNs,
+     Counter::kPhaseFixpointL2CpuNs},
+    {"fixpoint L3", Counter::kPhaseFixpointL3WallNs,
+     Counter::kPhaseFixpointL3CpuNs},
+    {"consider", Counter::kPhaseConsiderWallNs, Counter::kPhaseConsiderWallNs,
+     true},
+    {"transfer", Counter::kPhaseTransferWallNs, Counter::kPhaseTransferWallNs,
+     true},
+    {"join", Counter::kPhaseJoinWallNs, Counter::kPhaseJoinWallNs, true},
+    {"widen", Counter::kPhaseWidenWallNs, Counter::kPhaseWidenWallNs, true},
+    {"checkers", Counter::kPhaseCheckerWallNs, Counter::kPhaseCheckerCpuNs},
+    {"serialize", Counter::kPhaseSerializeWallNs,
+     Counter::kPhaseSerializeCpuNs},
+    {"cache lookup", Counter::kPhaseCacheLookupWallNs,
+     Counter::kPhaseCacheLookupCpuNs},
+};
+
 void profile_phase_row(std::ostringstream& os, const MetricsSnapshot& ops,
-                       const char* name, Counter wall, Counter cpu) {
-  const std::uint64_t wall_ns = ops[wall];
-  const std::uint64_t cpu_ns = ops[cpu];
+                       const PhaseRow& row) {
+  const std::uint64_t wall_ns = ops[row.wall];
+  const std::uint64_t cpu_ns = row.stage ? 0 : ops[row.cpu];
   if (wall_ns == 0 && cpu_ns == 0) return;  // phase never ran
   char buf[96];
-  std::snprintf(buf, sizeof buf, "  %-14s %10.3f ms wall %10.3f ms cpu\n",
-                name, static_cast<double>(wall_ns) / 1e6,
-                static_cast<double>(cpu_ns) / 1e6);
+  if (row.stage) {
+    std::snprintf(buf, sizeof buf, "    %-12s %10.3f ms wall\n", row.name,
+                  static_cast<double>(wall_ns) / 1e6);
+  } else {
+    std::snprintf(buf, sizeof buf, "  %-14s %10.3f ms wall %10.3f ms cpu\n",
+                  row.name, static_cast<double>(wall_ns) / 1e6,
+                  static_cast<double>(cpu_ns) / 1e6);
+  }
   os << buf;
 }
 
@@ -266,22 +305,7 @@ std::string format_profile(const UnitMetrics& m) {
      << ", " << m.status << ")\n";
 
   os << "phases:\n";
-  profile_phase_row(os, ops, "parse", Counter::kPhaseParseWallNs,
-                    Counter::kPhaseParseCpuNs);
-  profile_phase_row(os, ops, "cfg", Counter::kPhaseCfgWallNs,
-                    Counter::kPhaseCfgCpuNs);
-  profile_phase_row(os, ops, "ipa", Counter::kPhaseIpaWallNs,
-                    Counter::kPhaseIpaCpuNs);
-  profile_phase_row(os, ops, "fixpoint L1", Counter::kPhaseFixpointL1WallNs,
-                    Counter::kPhaseFixpointL1CpuNs);
-  profile_phase_row(os, ops, "fixpoint L2", Counter::kPhaseFixpointL2WallNs,
-                    Counter::kPhaseFixpointL2CpuNs);
-  profile_phase_row(os, ops, "fixpoint L3", Counter::kPhaseFixpointL3WallNs,
-                    Counter::kPhaseFixpointL3CpuNs);
-  profile_phase_row(os, ops, "checkers", Counter::kPhaseCheckerWallNs,
-                    Counter::kPhaseCheckerCpuNs);
-  profile_phase_row(os, ops, "serialize", Counter::kPhaseSerializeWallNs,
-                    Counter::kPhaseSerializeCpuNs);
+  for (const PhaseRow& row : kPhaseRows) profile_phase_row(os, ops, row);
 
   os << "worklist:\n";
   profile_counter_row(os, "visits", ops[Counter::kWorklistVisits]);
@@ -291,6 +315,7 @@ std::string format_profile(const UnitMetrics& m) {
   profile_counter_row(os, "transfer cache misses",
                       ops[Counter::kTransferCacheMisses]);
   profile_counter_row(os, "widenings", ops[Counter::kWidenings]);
+  profile_counter_row(os, "canon fallbacks", ops[Counter::kCanonFallbacks]);
 
   os << "rsg operations:\n";
   profile_counter_row(os, "compress calls", ops[Counter::kCompressCalls]);

@@ -8,8 +8,23 @@
 namespace psa::analysis {
 
 bool Rsrsg::insert(Rsg g, const LevelPolicy& policy, bool enable_join) {
-  const std::uint64_t fp = rsg::fingerprint(g);
-  return insert_with_fp(std::move(g), fp, policy, enable_join);
+  ensure_keys();
+  if (widened_) return fold_widened(std::move(g), policy);
+  rsg::CanonicalKey key = rsg::canonical_key(g);
+  return insert_keyed(std::move(g), std::move(key), policy, enable_join);
+}
+
+void Rsrsg::ensure_keys() const {
+  if (keys_.size() == graphs_.size()) return;
+  keys_.reserve(graphs_.size());
+  for (const Rsg& g : graphs_) keys_.push_back(rsg::canonical_key(g));
+}
+
+bool Rsrsg::contains(const rsg::CanonicalKey& key, const Rsg& g) const {
+  for (std::size_t i = 0; i < graphs_.size(); ++i) {
+    if (rsg::same_graph(keys_[i], graphs_[i], key, g)) return true;
+  }
+  return false;
 }
 
 const std::vector<rsg::NodeCompatContext>& Rsrsg::member_contexts(
@@ -21,39 +36,34 @@ const std::vector<rsg::NodeCompatContext>& Rsrsg::member_contexts(
   return *contexts_[i];
 }
 
-bool Rsrsg::insert_with_fp(Rsg g, std::uint64_t fp, const LevelPolicy& policy,
-                           bool enable_join) {
-  if (widened_) {
-    // Widened mode: coarsen the incoming graph and fold it monotonically
-    // into its ALIAS-matching member.
-    rsg::coarsen(g, policy);
-    fp = rsg::fingerprint(g);
-    for (std::size_t i = 0; i < graphs_.size(); ++i) {
-      if (fingerprints_[i] == fp && rsg::rsg_equal(graphs_[i], g))
-        return false;
-    }
-    for (std::size_t i = 0; i < graphs_.size(); ++i) {
-      if (!rsg::alias_equal(graphs_[i], g)) continue;
-      Rsg folded = rsg::force_join(graphs_[i], g, policy);
-      rsg::coarsen(folded, policy);
-      const std::uint64_t folded_fp = rsg::fingerprint(folded);
-      if (folded_fp == fingerprints_[i] && rsg::rsg_equal(folded, graphs_[i]))
-        return false;  // absorbed, nothing new
-      graphs_[i] = std::move(folded);
-      fingerprints_[i] = folded_fp;
-      contexts_[i] = nullptr;
-      return true;
-    }
-    graphs_.push_back(std::move(g));
-    fingerprints_.push_back(fp);
-    contexts_.push_back(nullptr);
+bool Rsrsg::fold_widened(Rsg g, const LevelPolicy& policy) {
+  // Widened mode: coarsen the incoming graph and fold it monotonically
+  // into its ALIAS-matching member.
+  rsg::coarsen(g, policy);
+  rsg::CanonicalKey key = rsg::canonical_key(g);
+  if (contains(key, g)) return false;
+  for (std::size_t i = 0; i < graphs_.size(); ++i) {
+    if (!rsg::alias_equal(graphs_[i], g)) continue;
+    Rsg folded = rsg::force_join(graphs_[i], g, policy);
+    rsg::coarsen(folded, policy);
+    rsg::CanonicalKey folded_key = rsg::canonical_key(folded);
+    if (rsg::same_graph(folded_key, folded, keys_[i], graphs_[i]))
+      return false;  // absorbed, nothing new
+    graphs_[i] = std::move(folded);
+    keys_[i] = std::move(folded_key);
+    contexts_[i] = nullptr;
     return true;
   }
+  graphs_.push_back(std::move(g));
+  keys_.push_back(std::move(key));
+  contexts_.push_back(nullptr);
+  return true;
+}
 
-  // Exact duplicate?
-  for (std::size_t i = 0; i < graphs_.size(); ++i) {
-    if (fingerprints_[i] == fp && rsg::rsg_equal(graphs_[i], g)) return false;
-  }
+bool Rsrsg::insert_keyed(Rsg g, rsg::CanonicalKey key,
+                         const LevelPolicy& policy, bool enable_join) {
+  if (widened_) return fold_widened(std::move(g), policy);
+  if (contains(key, g)) return false;  // exact duplicate
 
   if (enable_join) {
     // Fuse into the first compatible member; the join may enable further
@@ -76,10 +86,10 @@ bool Rsrsg::insert_with_fp(Rsg g, std::uint64_t fp, const LevelPolicy& policy,
       } else {
         PSA_COUNT(support::Counter::kJoinAccepts);
         Rsg joined = rsg::join(graphs_[i], g, policy);
-        graphs_.erase(graphs_.begin() + static_cast<std::ptrdiff_t>(i));
-        fingerprints_.erase(fingerprints_.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-        contexts_.erase(contexts_.begin() + static_cast<std::ptrdiff_t>(i));
+        const auto at = static_cast<std::ptrdiff_t>(i);
+        graphs_.erase(graphs_.begin() + at);
+        keys_.erase(keys_.begin() + at);
+        contexts_.erase(contexts_.begin() + at);
         insert(std::move(joined), policy, enable_join);
         return true;  // the set changed even if the join was absorbing
       }
@@ -87,69 +97,62 @@ bool Rsrsg::insert_with_fp(Rsg g, std::uint64_t fp, const LevelPolicy& policy,
   }
 
   graphs_.push_back(std::move(g));
-  fingerprints_.push_back(fp);
+  keys_.push_back(std::move(key));
   contexts_.push_back(nullptr);
   return true;
 }
 
 bool Rsrsg::merge(const Rsrsg& other, const LevelPolicy& policy,
                   bool enable_join) {
+  ensure_keys();
+  other.ensure_keys();
   bool changed = false;
   for (std::size_t i = 0; i < other.graphs_.size(); ++i) {
-    // Reuse the cached fingerprint: the common case in the engine's input
-    // accumulation is a duplicate, decided by u64 comparisons only.
-    changed |= insert_with_fp(other.graphs_[i], other.fingerprints_[i], policy,
-                              enable_join);
+    // Reuse the cached key: the common case in input accumulation is a
+    // duplicate, decided by a byte comparison.
+    changed |= insert_keyed(other.graphs_[i], other.keys_[i], policy,
+                            enable_join);
   }
   return changed;
 }
 
 bool Rsrsg::widen(const LevelPolicy& policy, std::size_t max_graphs) {
   if (widened_ && graphs_.size() <= max_graphs) return false;
-  const bool was_widened = widened_;
-  widened_ = true;
   // Re-insert every member through the widened-mode path: coarsen, then fold
   // ALIAS-equal members together. The result has at most one member per
   // ALIAS relation.
+  return reinsert_members(policy, nullptr);
+}
+
+bool Rsrsg::degrade_members(const LevelPolicy& policy,
+                            const std::function<void(Rsg&)>& transform) {
+  return reinsert_members(policy, transform);
+}
+
+bool Rsrsg::reinsert_members(const LevelPolicy& policy,
+                             const std::function<void(Rsg&)>& transform) {
+  ensure_keys();
+  const bool was_widened = widened_;
+  widened_ = true;
   std::vector<Rsg> members;
   members.swap(graphs_);
-  std::vector<std::uint64_t> old_fps;
-  old_fps.swap(fingerprints_);
+  std::vector<rsg::CanonicalKey> old_keys;
+  old_keys.swap(keys_);
   contexts_.clear();
   for (Rsg& g : members) {
+    if (transform) transform(g);
     insert(std::move(g), policy, /*enable_join=*/true);
   }
   // A widened set may *legitimately* exceed max_graphs (one member per
   // ALIAS pattern is the floor), so "still too big" is not "changed".
   // Report change only when folding actually moved something — otherwise a
   // caller re-widening an over-threshold set on every visit would requeue
-  // its successors forever.
-  if (!was_widened || graphs_.size() != old_fps.size()) return true;
-  for (std::size_t i = 0; i < old_fps.size(); ++i) {
-    if (fingerprints_[i] != old_fps[i]) return true;
-  }
-  return false;
-}
-
-bool Rsrsg::degrade_members(const LevelPolicy& policy,
-                            const std::function<void(Rsg&)>& transform) {
-  const bool was_widened = widened_;
-  widened_ = true;
-  std::vector<Rsg> members;
-  members.swap(graphs_);
-  std::vector<std::uint64_t> old_fps;
-  old_fps.swap(fingerprints_);
-  contexts_.clear();
-  for (Rsg& g : members) {
-    transform(g);
-    insert(std::move(g), policy, /*enable_join=*/true);
-  }
-  if (!was_widened || graphs_.size() != old_fps.size()) return true;
-  // Same cardinality: changed iff some member's fingerprint moved. (Order-
-  // sensitive and thus conservative — a spurious `true` only requeues the
-  // successors once more.)
-  for (std::size_t i = 0; i < old_fps.size(); ++i) {
-    if (fingerprints_[i] != old_fps[i]) return true;
+  // its successors forever. Same cardinality: changed iff some member's key
+  // moved (order-sensitive and thus conservative — a spurious `true` only
+  // requeues the successors once more).
+  if (!was_widened || graphs_.size() != old_keys.size()) return true;
+  for (std::size_t i = 0; i < old_keys.size(); ++i) {
+    if (!(keys_[i] == old_keys[i])) return true;
   }
   return false;
 }
@@ -158,10 +161,6 @@ Rsrsg Rsrsg::restore(std::vector<Rsg> graphs, bool widened) {
   Rsrsg set;
   set.widened_ = widened;
   set.graphs_ = std::move(graphs);
-  set.fingerprints_.reserve(set.graphs_.size());
-  for (const Rsg& g : set.graphs_) {
-    set.fingerprints_.push_back(rsg::fingerprint(g));
-  }
   set.contexts_.assign(set.graphs_.size(), nullptr);
   return set;
 }
@@ -180,17 +179,20 @@ std::size_t Rsrsg::total_nodes() const {
 
 bool Rsrsg::equals(const Rsrsg& other) const {
   if (graphs_.size() != other.graphs_.size()) return false;
+  ensure_keys();
+  other.ensure_keys();
   // Multiset match: each member must pair with a distinct isomorphic member.
   std::vector<bool> used(other.graphs_.size(), false);
   for (std::size_t i = 0; i < graphs_.size(); ++i) {
     bool matched = false;
     for (std::size_t j = 0; j < other.graphs_.size(); ++j) {
-      if (used[j] || fingerprints_[i] != other.fingerprints_[j]) continue;
-      if (rsg::rsg_equal(graphs_[i], other.graphs_[j])) {
-        used[j] = true;
-        matched = true;
-        break;
+      if (used[j] || !rsg::same_graph(keys_[i], graphs_[i], other.keys_[j],
+                                      other.graphs_[j])) {
+        continue;
       }
+      used[j] = true;
+      matched = true;
+      break;
     }
     if (!matched) return false;
   }

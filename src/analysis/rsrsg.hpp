@@ -49,10 +49,12 @@ class Rsrsg {
   [[nodiscard]] bool widened() const noexcept { return widened_; }
 
   /// Exact restore for the snapshot layer (rsg/serialize.hpp): adopt the
-  /// members verbatim — no join, no coarsening, no dedup — recomputing the
-  /// cached fingerprints. `deserialize(serialize(s))` must reproduce the set
-  /// member-for-member, so the restore path deliberately bypasses every
-  /// reduction insert() would apply.
+  /// members verbatim — no join, no coarsening, no dedup.
+  /// `deserialize(serialize(s))` must reproduce the set member-for-member,
+  /// so the restore path deliberately bypasses every reduction insert()
+  /// would apply. It computes no canonical keys either: most restored sets
+  /// (cache hits) are only read, so keys wait for the first insert, merge,
+  /// widen, equals or key_at.
   [[nodiscard]] static Rsrsg restore(std::vector<Rsg> graphs, bool widened);
 
   /// Degradation entry point for the resource governor: apply `transform` to
@@ -69,9 +71,10 @@ class Rsrsg {
   [[nodiscard]] const std::vector<Rsg>& graphs() const noexcept {
     return graphs_;
   }
-  /// Cached structural fingerprint of member `i` (parallel to graphs()).
-  [[nodiscard]] std::uint64_t fingerprint_at(std::size_t i) const {
-    return fingerprints_[i];
+  /// Canonical key of member `i` (parallel to graphs()).
+  [[nodiscard]] const rsg::CanonicalKey& key_at(std::size_t i) const {
+    ensure_keys();
+    return keys_[i];
   }
 
   [[nodiscard]] std::size_t footprint_bytes() const;
@@ -83,12 +86,19 @@ class Rsrsg {
   [[nodiscard]] std::string dump(const support::Interner& interner) const;
 
  private:
-  bool insert_with_fp(Rsg g, std::uint64_t fp, const LevelPolicy& policy,
-                      bool enable_join);
+  bool insert_keyed(Rsg g, rsg::CanonicalKey key, const LevelPolicy& policy,
+                    bool enable_join);
+  bool fold_widened(Rsg g, const LevelPolicy& policy);
+  [[nodiscard]] bool contains(const rsg::CanonicalKey& key, const Rsg& g) const;
+  /// Rebuild through insert() after `transform`; true when the set changed.
+  bool reinsert_members(const LevelPolicy& policy,
+                        const std::function<void(Rsg&)>& transform);
+  void ensure_keys() const;
   const std::vector<rsg::NodeCompatContext>& member_contexts(std::size_t i) const;
 
   std::vector<Rsg> graphs_;
-  std::vector<std::uint64_t> fingerprints_;  // parallel to graphs_
+  /// Parallel to graphs_, or empty until ensure_keys() for a restored set.
+  mutable std::vector<rsg::CanonicalKey> keys_;
   /// Lazily-computed compatibility contexts per member (hot path of insert).
   mutable std::vector<std::shared_ptr<const std::vector<rsg::NodeCompatContext>>>
       contexts_;

@@ -63,9 +63,10 @@ class SnapshotError : public std::runtime_error {
 /// with the function-granular cache counters (func_cache_*, summary_reuse);
 /// v5 grew it with the durable-I/O counters (io_writes, io_fsyncs,
 /// io_faults_injected, io_degradations); v6 shrank it by the eight counters
-/// of the removed analysis daemon (76 -> 68).
+/// of the removed analysis daemon (76 -> 68); v7 grew it with the
+/// canon_fallbacks counter and the four fixpoint-stage timers (68 -> 73).
 /// Older snapshots are rejected with a version mismatch rather than misread.
-inline constexpr std::uint32_t kSnapshotVersion = 6;
+inline constexpr std::uint32_t kSnapshotVersion = 7;
 
 // --- Byte-level primitives ---------------------------------------------------
 

@@ -30,6 +30,7 @@ std::string_view counter_name(Counter c) noexcept {
     case Counter::kTransferCacheHits: return "transfer_cache_hits";
     case Counter::kTransferCacheMisses: return "transfer_cache_misses";
     case Counter::kWidenings: return "widenings";
+    case Counter::kCanonFallbacks: return "canon_fallbacks";
     case Counter::kGovernorEscalations: return "governor_escalations";
     case Counter::kGovernorCollapses: return "governor_collapses";
     case Counter::kGovernorReapplies: return "governor_reapplies";
@@ -69,6 +70,10 @@ std::string_view counter_name(Counter c) noexcept {
     case Counter::kPhaseFixpointL2CpuNs: return "phase_fixpoint_l2_cpu_ns";
     case Counter::kPhaseFixpointL3WallNs: return "phase_fixpoint_l3_wall_ns";
     case Counter::kPhaseFixpointL3CpuNs: return "phase_fixpoint_l3_cpu_ns";
+    case Counter::kPhaseConsiderWallNs: return "phase_consider_wall_ns";
+    case Counter::kPhaseTransferWallNs: return "phase_transfer_wall_ns";
+    case Counter::kPhaseJoinWallNs: return "phase_join_wall_ns";
+    case Counter::kPhaseWidenWallNs: return "phase_widen_wall_ns";
     case Counter::kPhaseCheckerWallNs: return "phase_checker_wall_ns";
     case Counter::kPhaseCheckerCpuNs: return "phase_checker_cpu_ns";
     case Counter::kPhaseSerializeWallNs: return "phase_serialize_wall_ns";
@@ -93,16 +98,12 @@ std::uint64_t process_cpu_ns() noexcept {
          (1'000'000'000ull / CLOCKS_PER_SEC);
 }
 
-namespace {
-
 std::uint64_t steady_now_ns() noexcept {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-}  // namespace
 
 PhaseTimer::PhaseTimer(Counter wall, Counter cpu) noexcept
     : wall_(wall),

@@ -70,6 +70,7 @@ enum class Counter : std::uint16_t {
   kTransferCacheHits,    // input graph already transferred at this node
   kTransferCacheMisses,  // fresh input graph (a real transfer)
   kWidenings,            // RSRSG widen() trips at Options::widen_threshold
+  kCanonFallbacks,       // canonical keys that fell back to rsg_equal
 
   // Resource governor (docs/RESILIENCE.md ladder).
   kGovernorEscalations,
@@ -126,6 +127,12 @@ enum class Counter : std::uint16_t {
   kPhaseFixpointL2CpuNs,
   kPhaseFixpointL3WallNs,
   kPhaseFixpointL3CpuNs,
+  // The four stages of a fixpoint visit, at every level, wall clock only
+  // (a CPU-clock read is a system call, and there would be eight a visit).
+  kPhaseConsiderWallNs,  // input dedup against the transfer cache
+  kPhaseTransferWallNs,  // the transfer fan-out
+  kPhaseJoinWallNs,      // the insert loop (JOIN reduction)
+  kPhaseWidenWallNs,     // governor reapply, widening, set-limit ladder
   kPhaseCheckerWallNs,
   kPhaseCheckerCpuNs,
   kPhaseSerializeWallNs,
@@ -230,6 +237,10 @@ class MetricsRegion {
 
 /// Nanoseconds of CPU time consumed by the whole process.
 [[nodiscard]] std::uint64_t process_cpu_ns() noexcept;
+
+/// Monotonic wall-clock nanoseconds (steady clock; a vDSO read, no system
+/// call).
+[[nodiscard]] std::uint64_t steady_now_ns() noexcept;
 
 /// RAII phase timer: adds elapsed wall + process-CPU nanoseconds to the two
 /// given timer counters at scope exit. Instantiate through PSA_PHASE_TIMER.

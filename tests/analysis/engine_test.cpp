@@ -186,5 +186,63 @@ TEST(EngineTest, AllLevelsConvergeOnSmallPrograms) {
   }
 }
 
+TEST(EngineTest, InputsWithoutACanonicalOrderDedupByIsomorphism) {
+  // x -> root with two identical nxt successors has an automorphism, so its
+  // canonical key falls back to the fingerprint (rsg/canon.hpp) and the
+  // transfer cache keeps a graph copy. A second, slot-permuted entry state
+  // must still hit that copy, and change nothing else.
+  const auto program = prepare(R"(
+    struct node { struct node *nxt; int v; };
+    void main() {
+      struct node *x; struct node *y;
+      y = x;
+      y = NULL;
+    }
+  )");
+  const auto x = program.symbol("x");
+  const auto nxt = program.symbol("nxt");
+  const auto node_type =
+      *program.unit.types.find_struct(program.symbol("node"));
+  const auto automorphic = [&](bool root_last) {
+    rsg::NodeProps one;
+    one.type = node_type;
+    one.pos_selout.insert(nxt);
+    rsg::NodeProps many;
+    many.type = node_type;
+    many.cardinality = Cardinality::kMany;
+    many.pos_selin.insert(nxt);
+    Rsg g;
+    NodeRef root = root_last ? kNoNode : g.add_node(one);
+    const NodeRef c1 = g.add_node(many);
+    const NodeRef c2 = g.add_node(many);
+    if (root_last) root = g.add_node(one);
+    g.bind_pvar(x, root);
+    g.add_link(root, nxt, c1);
+    g.add_link(root, nxt, c2);
+    return g;
+  };
+  const auto run = [&](const std::vector<Rsg>& entry) {
+    Options options;
+    options.types = &program.unit.types;
+    options.entry_states = &entry;
+    return analyze_cfg(program.cfg, program.induction, options);
+  };
+  const std::vector<Rsg> one_state = {automorphic(false)};
+  const std::vector<Rsg> two_states = {automorphic(false), automorphic(true)};
+  const AnalysisResult once = run(one_state);
+  const AnalysisResult twice = run(two_states);
+  ASSERT_TRUE(once.converged());
+  ASSERT_TRUE(twice.converged());
+  using support::Counter;
+  EXPECT_GT(once.ops[Counter::kCanonFallbacks], 0u);
+  EXPECT_EQ(twice.ops[Counter::kTransferCacheMisses],
+            once.ops[Counter::kTransferCacheMisses]);
+  EXPECT_EQ(twice.ops[Counter::kTransferCacheHits],
+            once.ops[Counter::kTransferCacheHits] + 1);
+  for (cfg::NodeId n = 0; n < program.cfg.size(); ++n) {
+    EXPECT_TRUE(twice.per_node[n].equals(once.per_node[n])) << "node " << n;
+  }
+}
+
 }  // namespace
 }  // namespace psa::analysis

@@ -193,6 +193,13 @@ TEST(ProfileTest, MetricsJsonRoundTripsThroughTheParser) {
         "call_havoc_fallback", "phase_ipa_wall_ns", "phase_ipa_cpu_ns"}) {
     EXPECT_NE(ops->find(key), nullptr) << key;
   }
+  // The fixpoint-stage vocabulary (docs/OBSERVABILITY.md): the four visit
+  // stages and the canonical-key fallbacks behind the consider split.
+  for (const char* key :
+       {"phase_consider_wall_ns", "phase_transfer_wall_ns",
+        "phase_join_wall_ns", "phase_widen_wall_ns", "canon_fallbacks"}) {
+    EXPECT_NE(ops->find(key), nullptr) << key;
+  }
 
   const testing::JsonValue* gauges = doc->find("gauges");
   ASSERT_NE(gauges, nullptr);
@@ -225,6 +232,47 @@ TEST(ProfileTest, FormatProfileListsEverySection) {
   EXPECT_NE(table.find("governor:"), std::string::npos);
   EXPECT_NE(table.find("gauges:"), std::string::npos);
   EXPECT_NE(table.find("join"), std::string::npos);
+  EXPECT_NE(table.find("canon fallbacks"), std::string::npos);
+  // A fixpoint ran, so its stage rows are printed under it.
+  EXPECT_NE(table.find("\n    consider "), std::string::npos) << table;
+  EXPECT_NE(table.find("\n    join "), std::string::npos) << table;
+}
+
+/// The rows of the "phases:" section of a --profile table.
+std::vector<std::string> phase_rows(const std::string& table) {
+  std::vector<std::string> rows;
+  const std::size_t begin = table.find("phases:\n");
+  const std::size_t end = table.find("worklist:\n");
+  std::size_t at = begin + std::string_view("phases:\n").size();
+  while (at < end) {
+    const std::size_t eol = table.find('\n', at);
+    rows.push_back(table.substr(at, eol - at));
+    at = eol + 1;
+  }
+  return rows;
+}
+
+TEST(ProfileTest, CacheLookupTimeGetsItsOwnPhaseRow) {
+  // A warm batch served from the cache books its time here and nowhere
+  // else; a table without the row hides the phase that ran.
+  UnitMetrics m;
+  m.ops.at(Counter::kPhaseCacheLookupWallNs) = 281'600'000;
+  m.ops.at(Counter::kPhaseCacheLookupCpuNs) = 250'000'000;
+  const std::vector<std::string> rows = phase_rows(format_profile(m));
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_NE(rows[0].find("cache lookup"), std::string::npos) << rows[0];
+  EXPECT_NE(rows[0].find("281.600 ms wall"), std::string::npos) << rows[0];
+}
+
+TEST(ProfileTest, EveryPhaseTimerThatRanGetsARow) {
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    const auto c = static_cast<Counter>(i);
+    if (!support::is_timer(c)) continue;
+    UnitMetrics m;
+    m.ops.at(c) = 1'000'000;
+    EXPECT_EQ(phase_rows(format_profile(m)).size(), 1u) << counter_name(c);
+  }
+  EXPECT_TRUE(phase_rows(format_profile(UnitMetrics{})).empty());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/snapshot.hpp"
 #include "testing/rsg_builder.hpp"
 
 namespace psa::analysis {
@@ -135,6 +136,34 @@ TEST(RsrsgTest, EqualsDetectsDifference) {
   s1.insert(a.g, kL1);
   Rsrsg s2;
   EXPECT_FALSE(s1.equals(s2));
+}
+
+TEST(RsrsgTest, RestoredSetDedupsAndCompares) {
+  // restore() computes no keys; a restored set must still dedup and compare
+  // exactly once it is used.
+  RsgBuilder a;
+  const NodeRef a1 = a.node();
+  const NodeRef a2 = a.node(Cardinality::kMany);
+  a.pvar("x", a1).link(a1, "nxt", a2).link(a2, "nxt", a2);
+  RsgBuilder other(a.interner_ptr());
+  other.pvar("y", other.node());
+  Rsrsg original;
+  original.insert(a.g, kL1);
+  original.insert(other.g, kL1);
+  const std::string bytes = serialize_rsrsg(original, a.interner());
+
+  const Rsrsg compared = deserialize_rsrsg(bytes, *a.interner_ptr());
+  EXPECT_TRUE(compared.equals(original));
+  EXPECT_TRUE(original.equals(compared));
+
+  RsgBuilder b(a.interner_ptr());  // isomorphic to a, other slot order
+  const NodeRef b2 = b.node(Cardinality::kMany);
+  const NodeRef b1 = b.node();
+  b.pvar("x", b1).link(b1, "nxt", b2).link(b2, "nxt", b2);
+  Rsrsg inserted = deserialize_rsrsg(bytes, *a.interner_ptr());
+  EXPECT_FALSE(inserted.insert(b.g, kL1));
+  EXPECT_EQ(inserted.size(), 2u);
+  EXPECT_TRUE(inserted.equals(original));
 }
 
 TEST(RsrsgTest, StatsAccumulate) {

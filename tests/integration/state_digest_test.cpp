@@ -11,17 +11,18 @@
 // golden diff goes up for review like a bench baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
 #include "cfg/simple_stmt.hpp"
 #include "corpus/corpus.hpp"
+#include "support/metrics.hpp"
 #include "testing/state_digest.hpp"
 
 #ifndef PSA_STATE_DIGEST_DIR
@@ -71,8 +72,14 @@ std::vector<std::string> digest_lines(const DigestCase& c) {
   const auto program = analysis::prepare(c.source, "main", frontend);
   analysis::Options options;
   options.level = c.level;
+  const support::MetricsRegion region;  // summaries and fixpoint alike
   const auto result = analysis::analyze_program(program, options);
   EXPECT_TRUE(result.converged()) << analysis::to_string(result.status);
+  // Graphs whose identity needed the isomorphism search (rsg/canon.hpp);
+  // reported in the XML output beside each case.
+  ::testing::Test::RecordProperty(
+      "canon_fallbacks",
+      std::to_string(region.delta()[support::Counter::kCanonFallbacks]));
 
   testing::StateDigester digester(program.interner(), program.unit.types);
   const std::vector<std::uint64_t> digests = digester.digest(result);

@@ -1,10 +1,12 @@
-// Fingerprint / isomorphism: the fixpoint's equality oracle.
+// Canonical keys, fingerprints and isomorphism: the fixpoint's equality
+// oracle.
 #include "rsg/canon.hpp"
 
 #include <gtest/gtest.h>
 
 #include <random>
 
+#include "support/metrics.hpp"
 #include "testing/rsg_builder.hpp"
 
 namespace psa::rsg {
@@ -131,6 +133,70 @@ TEST(CanonTest, FingerprintStableUnderCompaction) {
   EXPECT_EQ(fingerprint(a.g), before);
 }
 
+TEST(CanonTest, KeyIgnoresSlotOrderAndDeadSlots) {
+  RsgBuilder a;
+  const NodeRef a1 = a.node();
+  const NodeRef dead = a.node();
+  const NodeRef a2 = a.node(Cardinality::kMany);
+  a.pvar("x", a1).link(a1, "nxt", a2).link(a2, "nxt", a2);
+  a.g.remove_node(dead);
+
+  RsgBuilder b(a.interner_ptr());
+  const NodeRef b2 = b.node(Cardinality::kMany);
+  const NodeRef b1 = b.node();
+  b.pvar("x", b1).link(b1, "nxt", b2).link(b2, "nxt", b2);
+
+  const CanonicalKey ka = canonical_key(a.g);
+  EXPECT_TRUE(ka.exact());
+  EXPECT_EQ(ka, canonical_key(b.g));
+  a.g.compact();
+  EXPECT_EQ(ka, canonical_key(a.g));
+}
+
+TEST(CanonTest, HavocTaintIsPartOfTheKey) {
+  RsgBuilder a;
+  a.pvar("x", a.node());
+  Rsg tainted = a.g;
+  tainted.set_havoc(true);
+  EXPECT_NE(canonical_key(a.g), canonical_key(tainted));
+}
+
+TEST(CanonTest, AutomorphicGraphTakesTheFallback) {
+  // x -> root with two identical nxt successors: swapping the successors is
+  // an automorphism, so no refinement can separate them and the key falls
+  // back to the fingerprint plus the isomorphism search.
+  RsgBuilder a;
+  const NodeRef root = a.node();
+  const NodeRef c1 = a.node(Cardinality::kMany);
+  const NodeRef c2 = a.node(Cardinality::kMany);
+  a.pvar("x", root).link(root, "nxt", c1).link(root, "nxt", c2);
+
+  RsgBuilder b(a.interner_ptr());  // the same graph, slots permuted
+  const NodeRef b2 = b.node(Cardinality::kMany);
+  const NodeRef b1 = b.node(Cardinality::kMany);
+  const NodeRef broot = b.node();
+  b.pvar("x", broot).link(broot, "nxt", b1).link(broot, "nxt", b2);
+
+  Rsg shared = a.g;  // one successor marked SHARED: no longer symmetric
+  shared.props(c2).shared = true;
+
+  const auto fallbacks = [] {
+    return support::MetricsRegistry::instance()
+        .snapshot()[support::Counter::kCanonFallbacks];
+  };
+  const std::uint64_t before = fallbacks();
+  const CanonicalKey ka = canonical_key(a.g);
+  const CanonicalKey kb = canonical_key(b.g);
+  const CanonicalKey ks = canonical_key(shared);
+  EXPECT_EQ(fallbacks() - before, 2u);  // a and b; `shared` is discrete
+
+  EXPECT_FALSE(ka.exact());
+  EXPECT_EQ(ka.hash(), fingerprint(a.g));
+  EXPECT_TRUE(same_graph(ka, a.g, kb, b.g));
+  EXPECT_TRUE(ks.exact());
+  EXPECT_FALSE(same_graph(ka, a.g, ks, shared));
+}
+
 // Property sweep: random graph, random slot permutation (rebuild in a
 // shuffled order) -> fingerprints and equality must agree.
 class CanonPropertyTest : public ::testing::TestWithParam<unsigned> {};
@@ -170,6 +236,12 @@ TEST_P(CanonPropertyTest, PermutationInvariance) {
 
   EXPECT_EQ(fingerprint(a.g), fingerprint(b.g));
   EXPECT_TRUE(rsg_equal(a.g, b.g));
+  const CanonicalKey ka = canonical_key(a.g);
+  const CanonicalKey kb = canonical_key(b.g);
+  // Every seed refines to a discrete partition, so the bytes decide.
+  EXPECT_TRUE(ka.exact());
+  EXPECT_EQ(ka, kb);
+  EXPECT_TRUE(same_graph(ka, a.g, kb, b.g));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CanonPropertyTest, ::testing::Range(0u, 24u));
@@ -200,6 +272,10 @@ TEST_P(CanonMutationTest, MutationDetected) {
       break;
   }
   EXPECT_FALSE(rsg_equal(a.g, mutated));
+  const CanonicalKey ka = canonical_key(a.g);
+  const CanonicalKey km = canonical_key(mutated);
+  EXPECT_NE(ka, km);
+  EXPECT_FALSE(same_graph(ka, a.g, km, mutated));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CanonMutationTest, ::testing::Range(0u, 12u));

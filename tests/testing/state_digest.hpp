@@ -59,21 +59,21 @@ class StateDigester {
 
     std::size_t classes = count_classes(color, refs);
     std::vector<std::uint64_t> next(color.size(), 0);
-    std::vector<std::uint64_t> scratch;
+    std::vector<std::uint64_t> hashes;
     for (std::size_t round = 0; round < refs.size(); ++round) {
       for (const rsg::NodeRef n : refs) {
-        scratch.clear();
+        hashes.clear();
         for (const rsg::Link& l : g.out_links(n)) {
-          scratch.push_back(
+          hashes.push_back(
               support::hash_combine(symbol(l.sel), color[l.target]));
         }
-        const std::uint64_t out = fold_sorted(0x0f, scratch);
-        scratch.clear();
+        const std::uint64_t out = fold_sorted(0x0f, hashes);
+        hashes.clear();
         for (const rsg::InLink& in : g.in_links(n)) {
-          scratch.push_back(
+          hashes.push_back(
               support::hash_combine(symbol(in.sel), color[in.source]));
         }
-        const std::uint64_t in = fold_sorted(0x1e, scratch);
+        const std::uint64_t in = fold_sorted(0x1e, hashes);
         next[n] = support::hash_combine(support::hash_combine(color[n], out),
                                         in);
       }
@@ -83,16 +83,16 @@ class StateDigester {
       classes = now;
     }
 
-    scratch.clear();
-    for (const rsg::NodeRef n : refs) scratch.push_back(color[n]);
+    hashes.clear();
+    for (const rsg::NodeRef n : refs) hashes.push_back(color[n]);
     std::uint64_t h = support::hash_combine(g.havoc() ? 0x2b : 0x2c,
                                             refs.size());
-    h = fold_sorted(h, scratch);
-    scratch.clear();
+    h = fold_sorted(h, hashes);
+    hashes.clear();
     for (const auto& [pvar, n] : g.pvar_links()) {
-      scratch.push_back(support::hash_combine(symbol(pvar), color[n]));
+      hashes.push_back(support::hash_combine(symbol(pvar), color[n]));
     }
-    return fold_sorted(h, scratch);
+    return fold_sorted(h, hashes);
   }
 
  private:
