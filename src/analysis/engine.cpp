@@ -294,12 +294,11 @@ class Engine {
       std::vector<const rsg::CanonicalKey*> fresh_keys;
       const auto consider = [&](const rsg::Rsg& g,
                                 const rsg::CanonicalKey& key) {
-        if (cache.seen(key, g)) {
+        if (!cache.insert(key).second) {
           PSA_COUNT(support::Counter::kTransferCacheHits);
           return;
         }
         PSA_COUNT(support::Counter::kTransferCacheMisses);
-        cache.record(key, g);
         fresh.push_back(&g);
         fresh_keys.push_back(&key);
       };
@@ -345,14 +344,11 @@ class Engine {
       end_stage(support::Counter::kPhaseTransferWallNs);
       if (aborted) {
         // Outputs of an aborted fan-out are partial: un-record the inputs
-        // considered this visit so a later visit re-transfers them (reverse
-        // order restores the fallback buckets exactly). Without this the
-        // cache would keep claiming inputs whose outputs never landed — a
-        // transient memory spike that drains before the loop-top check
-        // would then lose may-facts for good.
-        for (std::size_t i = fresh.size(); i-- > 0;) {
-          cache.forget(*fresh_keys[i]);
-        }
+        // considered this visit so a later visit re-transfers them. Without
+        // this the cache would keep claiming inputs whose outputs never
+        // landed — a transient memory spike that drains before the loop-top
+        // check would then lose may-facts for good.
+        for (const rsg::CanonicalKey* key : fresh_keys) cache.erase(*key);
         if (governor.poll() == ResourceGovernor::Interrupt::kNone) {
           // Not deadline or cancellation, so the memory budget tripped:
           // latch it for the loop top, whose own check may already see live
@@ -452,44 +448,9 @@ class Engine {
   }
 
  private:
-  /// Per-node record of the input graphs already transferred. An input
-  /// with an exact canonical key is remembered by its key alone; only a
-  /// fallback input (no discrete partition) keeps a graph copy, bucketed by
-  /// fingerprint and resolved by rsg_equal.
-  struct TransferCache {
-    std::unordered_set<rsg::CanonicalKey, rsg::CanonicalKey::Hash> keys;
-    std::unordered_map<std::uint64_t, std::vector<rsg::Rsg>> fallback;
-
-    [[nodiscard]] bool empty() const {
-      return keys.empty() && fallback.empty();
-    }
-    [[nodiscard]] bool seen(const rsg::CanonicalKey& key,
-                            const rsg::Rsg& g) const {
-      if (key.exact()) return keys.contains(key);
-      const auto bucket = fallback.find(key.hash());
-      if (bucket == fallback.end()) return false;
-      return std::any_of(
-          bucket->second.begin(), bucket->second.end(),
-          [&](const rsg::Rsg& known) { return rsg::rsg_equal(known, g); });
-    }
-    void record(const rsg::CanonicalKey& key, const rsg::Rsg& g) {
-      if (key.exact()) {
-        keys.insert(key);
-      } else {
-        fallback[key.hash()].push_back(g);
-      }
-    }
-    /// Undo the latest record() of `key`.
-    void forget(const rsg::CanonicalKey& key) {
-      if (key.exact()) {
-        keys.erase(key);
-        return;
-      }
-      const auto bucket = fallback.find(key.hash());
-      bucket->second.pop_back();
-      if (bucket->second.empty()) fallback.erase(bucket);
-    }
-  };
+  /// Per-node record of the input graphs already transferred, by key.
+  using TransferCache =
+      std::unordered_set<rsg::CanonicalKey, rsg::CanonicalKey::Hash>;
 
   const cfg::Cfg& cfg_;
   const Options& options_;

@@ -7,24 +7,14 @@
 
 namespace psa::analysis {
 
-bool Rsrsg::insert(Rsg g, const LevelPolicy& policy, bool enable_join) {
-  ensure_keys();
-  if (widened_) return fold_widened(std::move(g), policy);
-  rsg::CanonicalKey key = rsg::canonical_key(g);
-  return insert_keyed(std::move(g), std::move(key), policy, enable_join);
-}
-
 void Rsrsg::ensure_keys() const {
   if (keys_.size() == graphs_.size()) return;
   keys_.reserve(graphs_.size());
   for (const Rsg& g : graphs_) keys_.push_back(rsg::canonical_key(g));
 }
 
-bool Rsrsg::contains(const rsg::CanonicalKey& key, const Rsg& g) const {
-  for (std::size_t i = 0; i < graphs_.size(); ++i) {
-    if (rsg::same_graph(keys_[i], graphs_[i], key, g)) return true;
-  }
-  return false;
+bool Rsrsg::contains(const rsg::CanonicalKey& key) const {
+  return std::find(keys_.begin(), keys_.end(), key) != keys_.end();
 }
 
 const std::vector<rsg::NodeCompatContext>& Rsrsg::member_contexts(
@@ -41,14 +31,13 @@ bool Rsrsg::fold_widened(Rsg g, const LevelPolicy& policy) {
   // into its ALIAS-matching member.
   rsg::coarsen(g, policy);
   rsg::CanonicalKey key = rsg::canonical_key(g);
-  if (contains(key, g)) return false;
+  if (contains(key)) return false;
   for (std::size_t i = 0; i < graphs_.size(); ++i) {
     if (!rsg::alias_equal(graphs_[i], g)) continue;
     Rsg folded = rsg::force_join(graphs_[i], g, policy);
     rsg::coarsen(folded, policy);
     rsg::CanonicalKey folded_key = rsg::canonical_key(folded);
-    if (rsg::same_graph(folded_key, folded, keys_[i], graphs_[i]))
-      return false;  // absorbed, nothing new
+    if (folded_key == keys_[i]) return false;  // absorbed, nothing new
     graphs_[i] = std::move(folded);
     keys_[i] = std::move(folded_key);
     contexts_[i] = nullptr;
@@ -60,10 +49,11 @@ bool Rsrsg::fold_widened(Rsg g, const LevelPolicy& policy) {
   return true;
 }
 
-bool Rsrsg::insert_keyed(Rsg g, rsg::CanonicalKey key,
-                         const LevelPolicy& policy, bool enable_join) {
+bool Rsrsg::insert(Rsg g, const LevelPolicy& policy, bool enable_join) {
+  ensure_keys();
   if (widened_) return fold_widened(std::move(g), policy);
-  if (contains(key, g)) return false;  // exact duplicate
+  rsg::CanonicalKey key = rsg::canonical_key(g);
+  if (contains(key)) return false;  // exact duplicate
 
   if (enable_join) {
     // Fuse into the first compatible member; the join may enable further
@@ -102,20 +92,6 @@ bool Rsrsg::insert_keyed(Rsg g, rsg::CanonicalKey key,
   return true;
 }
 
-bool Rsrsg::merge(const Rsrsg& other, const LevelPolicy& policy,
-                  bool enable_join) {
-  ensure_keys();
-  other.ensure_keys();
-  bool changed = false;
-  for (std::size_t i = 0; i < other.graphs_.size(); ++i) {
-    // Reuse the cached key: the common case in input accumulation is a
-    // duplicate, decided by a byte comparison.
-    changed |= insert_keyed(other.graphs_[i], other.keys_[i], policy,
-                            enable_join);
-  }
-  return changed;
-}
-
 bool Rsrsg::widen(const LevelPolicy& policy, std::size_t max_graphs) {
   if (widened_ && graphs_.size() <= max_graphs) return false;
   // Re-insert every member through the widened-mode path: coarsen, then fold
@@ -150,11 +126,7 @@ bool Rsrsg::reinsert_members(const LevelPolicy& policy,
   // its successors forever. Same cardinality: changed iff some member's key
   // moved (order-sensitive and thus conservative — a spurious `true` only
   // requeues the successors once more).
-  if (!was_widened || graphs_.size() != old_keys.size()) return true;
-  for (std::size_t i = 0; i < old_keys.size(); ++i) {
-    if (!(keys_[i] == old_keys[i])) return true;
-  }
-  return false;
+  return !was_widened || keys_ != old_keys;
 }
 
 Rsrsg Rsrsg::restore(std::vector<Rsg> graphs, bool widened) {
@@ -181,22 +153,8 @@ bool Rsrsg::equals(const Rsrsg& other) const {
   if (graphs_.size() != other.graphs_.size()) return false;
   ensure_keys();
   other.ensure_keys();
-  // Multiset match: each member must pair with a distinct isomorphic member.
-  std::vector<bool> used(other.graphs_.size(), false);
-  for (std::size_t i = 0; i < graphs_.size(); ++i) {
-    bool matched = false;
-    for (std::size_t j = 0; j < other.graphs_.size(); ++j) {
-      if (used[j] || !rsg::same_graph(keys_[i], graphs_[i], other.keys_[j],
-                                      other.graphs_[j])) {
-        continue;
-      }
-      used[j] = true;
-      matched = true;
-      break;
-    }
-    if (!matched) return false;
-  }
-  return true;
+  // Multiset match: keys are equal iff the members are isomorphic.
+  return std::is_permutation(keys_.begin(), keys_.end(), other.keys_.begin());
 }
 
 std::string Rsrsg::dump(const support::Interner& interner) const {

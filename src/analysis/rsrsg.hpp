@@ -31,10 +31,6 @@ class Rsrsg {
   /// Returns true when the set changed.
   bool insert(Rsg g, const LevelPolicy& policy, bool enable_join = true);
 
-  /// Insert every member of `other`. Returns true when the set changed.
-  bool merge(const Rsrsg& other, const LevelPolicy& policy,
-             bool enable_join = true);
-
   /// Widening: coarsen every member to its (TYPE, SPATH0) skeleton and
   /// force-join ALIAS-equal members. The set then enters *widened mode*:
   /// every further insert is coarsened and force-joined into its ALIAS-
@@ -53,8 +49,8 @@ class Rsrsg {
   /// `deserialize(serialize(s))` must reproduce the set member-for-member,
   /// so the restore path deliberately bypasses every reduction insert()
   /// would apply. It computes no canonical keys either: most restored sets
-  /// (cache hits) are only read, so keys wait for the first insert, merge,
-  /// widen, equals or key_at.
+  /// (cache hits) are only read, so keys wait for the first insert, widen,
+  /// equals or key_at.
   [[nodiscard]] static Rsrsg restore(std::vector<Rsg> graphs, bool widened);
 
   /// Degradation entry point for the resource governor: apply `transform` to
@@ -86,10 +82,8 @@ class Rsrsg {
   [[nodiscard]] std::string dump(const support::Interner& interner) const;
 
  private:
-  bool insert_keyed(Rsg g, rsg::CanonicalKey key, const LevelPolicy& policy,
-                    bool enable_join);
   bool fold_widened(Rsg g, const LevelPolicy& policy);
-  [[nodiscard]] bool contains(const rsg::CanonicalKey& key, const Rsg& g) const;
+  [[nodiscard]] bool contains(const rsg::CanonicalKey& key) const;
   /// Rebuild through insert() after `transform`; true when the set changed.
   bool reinsert_members(const LevelPolicy& policy,
                         const std::function<void(Rsg&)>& transform);

@@ -6,8 +6,8 @@
 // sandboxed worker process to its supervisor and journals the same bytes as
 // the on-disk checkpoint that makes interrupted batch runs resumable; the
 // round-trip is canon-exact when restored into the originating interner
-// (every restored Rsrsg equals the original member-for-member under
-// rsg_equal, and every scalar field is preserved bit-for-bit); restored
+// (every restored Rsrsg equals the original member-for-member by
+// canonical key, and every scalar field is preserved bit-for-bit); restored
 // into a different interner it is the same value up to symbol renaming and
 // re-serializes to byte-identical bytes (see rsg/serialize.hpp).
 // Deserialization follows the serialize.hpp robustness contract: hostile

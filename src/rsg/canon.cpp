@@ -14,7 +14,6 @@ namespace {
 using support::hash_accumulate_unordered;
 using support::hash_combine;
 using support::hash_value;
-using support::mix64;
 
 std::uint64_t initial_color(const Rsg& g, NodeRef n) {
   std::uint64_t h = g.props(n).hash();
@@ -35,13 +34,10 @@ std::size_t count_classes(const std::vector<std::uint64_t>& color,
       std::unique(sorted.begin(), sorted.end()) - sorted.begin());
 }
 
-/// Iteratively refine node colors until the partition stabilizes; returns
-/// final colors indexed by node slot. `refs` are g's alive nodes.
-std::vector<std::uint64_t> refine_colors(const Rsg& g,
-                                         const std::vector<NodeRef>& refs) {
-  std::vector<std::uint64_t> color(g.node_capacity(), 0);
-  for (const NodeRef n : refs) color[n] = initial_color(g, n);
-
+/// Refine `color` (indexed by node slot; `refs` are g's alive nodes) in
+/// place until the partition stabilizes.
+void refine(const Rsg& g, const std::vector<NodeRef>& refs,
+            std::vector<std::uint64_t>& color) {
   // n rounds suffice for WL refinement on n nodes, but the partition almost
   // always stabilizes after 2-4; stop when the *grouping* stops refining
   // (the hash values themselves change every round by construction), or as
@@ -68,21 +64,6 @@ std::vector<std::uint64_t> refine_colors(const Rsg& g,
     if (next_classes == classes) break;  // partition stable
     classes = next_classes;
   }
-  return color;
-}
-
-std::uint64_t fingerprint_of(const Rsg& g, const std::vector<NodeRef>& refs,
-                             const std::vector<std::uint64_t>& color) {
-  // Graph-level salvage taint is part of the identity: a tainted
-  // configuration never dedups against its untainted twin (the taint would
-  // silently vanish from the set).
-  std::uint64_t h = hash_combine(0x9e3779b9, hash_value(g.havoc() ? 1 : 0));
-  for (const NodeRef n : refs)
-    h = hash_accumulate_unordered(h, mix64(color[n]));
-  for (const auto& [pvar, n] : g.pvar_links())
-    h = hash_accumulate_unordered(
-        h, hash_combine(hash_value(pvar.id()), color[n]));
-  return h;
 }
 
 /// LEB128 writer for the canonical encoding; every list is length-prefixed
@@ -112,6 +93,9 @@ class KeyWriter {
 void encode(const Rsg& g, const std::vector<NodeRef>& order,
             const std::vector<NodeRef>& rank, std::string& out) {
   KeyWriter w(out);
+  // Graph-level salvage taint is part of the identity: a tainted
+  // configuration never dedups against its untainted twin (the taint would
+  // silently vanish from the set).
   w.u(g.havoc() ? 1 : 0);
   w.u(order.size());
   w.u(g.pvar_links().size());
@@ -154,6 +138,43 @@ void encode(const Rsg& g, const std::vector<NodeRef>& order,
   }
 }
 
+/// Individualization-refinement (see the file comment): refine `color`; with
+/// no tie left, keep the encoding in `best` if it is the smallest so far;
+/// otherwise recurse once per member of the lowest tied cell, that member
+/// individualized. `searched` records that some tie was met.
+void search(const Rsg& g, const std::vector<NodeRef>& refs,
+            std::vector<std::uint64_t>& color, std::string& best,
+            bool& searched) {
+  refine(g, refs, color);
+  std::vector<NodeRef> order = refs;
+  std::sort(order.begin(), order.end(), [&](NodeRef a, NodeRef b) {
+    return color[a] < color[b];
+  });
+  const auto tie =
+      std::adjacent_find(order.begin(), order.end(), [&](NodeRef a, NodeRef b) {
+        return color[a] == color[b];
+      });
+  if (tie == order.end()) {
+    std::vector<NodeRef> rank(g.node_capacity(), kNoNode);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      rank[order[i]] = static_cast<NodeRef>(i);
+    }
+    thread_local std::string encoded;
+    encoded.clear();
+    encode(g, order, rank, encoded);
+    if (best.empty() || encoded < best) best.assign(encoded);
+    return;
+  }
+  searched = true;
+  const std::uint64_t cell = color[*tie];
+  const std::uint64_t individual = hash_combine(cell, 0x1d1d1d1d);
+  for (auto it = tie; it != order.end() && color[*it] == cell; ++it) {
+    std::vector<std::uint64_t> branch = color;
+    branch[*it] = individual;
+    search(g, refs, branch, best, searched);
+  }
+}
+
 std::uint64_t hash_bytes(std::string_view bytes) {
   std::uint64_t h = hash_value(bytes.size());
   std::size_t i = 0;
@@ -172,130 +193,16 @@ std::uint64_t hash_bytes(std::string_view bytes) {
 
 CanonicalKey canonical_key(const Rsg& g) {
   const std::vector<NodeRef> refs = g.node_refs();
-  const std::vector<std::uint64_t> color = refine_colors(g, refs);
-
-  std::vector<NodeRef> order = refs;
-  std::sort(order.begin(), order.end(), [&](NodeRef a, NodeRef b) {
-    return color[a] < color[b];
-  });
-  const bool discrete =
-      std::adjacent_find(order.begin(), order.end(), [&](NodeRef a, NodeRef b) {
-        return color[a] == color[b];
-      }) == order.end();
+  std::vector<std::uint64_t> color(g.node_capacity(), 0);
+  for (const NodeRef n : refs) color[n] = initial_color(g, n);
 
   CanonicalKey key;
-  if (!discrete) {
-    PSA_COUNT(support::Counter::kCanonFallbacks);
-    key.hash_ = fingerprint_of(g, refs, color);
-    key.footprint_.resize(sizeof(CanonicalKey));
-    return key;
-  }
-  std::vector<NodeRef> rank(g.node_capacity(), kNoNode);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    rank[order[i]] = static_cast<NodeRef>(i);
-  }
-  thread_local std::string encoded;
-  encoded.clear();
-  encode(g, order, rank, encoded);
-  key.bytes_.assign(encoded);
+  bool searched = false;
+  search(g, refs, color, key.bytes_, searched);
+  if (searched) PSA_COUNT(support::Counter::kCanonFallbacks);
   key.hash_ = hash_bytes(key.bytes_);
-  key.exact_ = true;
   key.footprint_.resize(sizeof(CanonicalKey) + key.bytes_.size());
   return key;
-}
-
-bool same_graph(const CanonicalKey& ka, const Rsg& a, const CanonicalKey& kb,
-                const Rsg& b) {
-  return ka == kb && (ka.exact() || rsg_equal(a, b));
-}
-
-std::uint64_t fingerprint(const Rsg& g) {
-  const std::vector<NodeRef> refs = g.node_refs();
-  return fingerprint_of(g, refs, refine_colors(g, refs));
-}
-
-namespace {
-
-/// Backtracking isomorphism: map a's nodes onto b's within color classes.
-class IsoMatcher {
- public:
-  IsoMatcher(const Rsg& a, const Rsg& b) : a_(a), b_(b) {
-    refs_a_ = a.node_refs();
-    colors_a_ = refine_colors(a, refs_a_);
-    colors_b_ = refine_colors(b, b.node_refs());
-    map_.assign(a.node_capacity(), kNoNode);
-    used_.assign(b.node_capacity(), false);
-  }
-
-  bool run() { return extend(0); }
-
- private:
-  bool extend(std::size_t idx) {
-    if (idx == refs_a_.size()) return check_full();
-    const NodeRef na = refs_a_[idx];
-    for (const NodeRef nb : b_.node_refs()) {
-      if (used_[nb] || colors_a_[na] != colors_b_[nb]) continue;
-      if (!locally_consistent(na, nb)) continue;
-      map_[na] = nb;
-      used_[nb] = true;
-      if (extend(idx + 1)) return true;
-      used_[nb] = false;
-      map_[na] = kNoNode;
-    }
-    return false;
-  }
-
-  /// Check properties + links to already-mapped nodes.
-  bool locally_consistent(NodeRef na, NodeRef nb) {
-    if (!(a_.props(na) == b_.props(nb))) return false;
-    if (a_.out_links(na).size() != b_.out_links(nb).size()) return false;
-    if (a_.spath0(na) != b_.spath0(nb)) return false;
-    for (const Link& l : a_.out_links(na)) {
-      const NodeRef mt = map_[l.target];
-      if (mt != kNoNode && !b_.has_link(nb, l.sel, mt)) return false;
-    }
-    for (const InLink& in : a_.in_links(na)) {
-      const NodeRef ms = map_[in.source];
-      if (ms != kNoNode && !b_.has_link(ms, in.sel, nb)) return false;
-    }
-    return true;
-  }
-
-  /// Full verification of links and PL under the completed mapping.
-  bool check_full() {
-    for (const NodeRef na : refs_a_) {
-      for (const Link& l : a_.out_links(na)) {
-        if (!b_.has_link(map_[na], l.sel, map_[l.target])) return false;
-      }
-    }
-    if (a_.link_count() != b_.link_count()) return false;
-    for (const auto& [pvar, n] : a_.pvar_links()) {
-      if (b_.pvar_target(pvar) != map_[n]) return false;
-    }
-    return true;
-  }
-
-  const Rsg& a_;
-  const Rsg& b_;
-  std::vector<std::uint64_t> colors_a_;
-  std::vector<std::uint64_t> colors_b_;
-  std::vector<NodeRef> refs_a_;
-  std::vector<NodeRef> map_;
-  std::vector<bool> used_;
-};
-
-}  // namespace
-
-bool rsg_equal(const Rsg& a, const Rsg& b) {
-  if (a.havoc() != b.havoc()) return false;
-  if (a.node_count() != b.node_count()) return false;
-  if (a.link_count() != b.link_count()) return false;
-  if (a.pvar_links().size() != b.pvar_links().size()) return false;
-  for (std::size_t i = 0; i < a.pvar_links().size(); ++i) {
-    if (a.pvar_links()[i].first != b.pvar_links()[i].first) return false;
-  }
-  IsoMatcher matcher(a, b);
-  return matcher.run();
 }
 
 }  // namespace psa::rsg

@@ -4,20 +4,31 @@
 // statement stops changing; "stops changing" is equality of RSGs up to node
 // renaming. Every graph gets one canonical key when it enters an RSRSG.
 // Weisfeiler-Lehman colour refinement (seeded with node properties and the
-// pvars pointing at each node) nearly always gives every node its own
-// colour, because gc() keeps only pvar-reachable nodes and the refinement
-// spreads the pvar roots' identity along the links (Predator decides graph
-// equality by the same rooted traversal). Ranking the nodes by colour then
-// gives a canonical node order, and the key is an exact byte encoding of the
-// graph in that order: equal keys mean isomorphic graphs, with no hash
-// deciding the answer. Keys compare with memcmp and replace graph copies
-// wherever a graph is only remembered, not read (the transfer cache).
+// pvars pointing at each node) ranks the nodes by colour, and the key is an
+// exact byte encoding of the graph in that order: equal keys mean
+// isomorphic graphs, with no hash deciding the answer. Keys compare with
+// memcmp and replace graph copies wherever a graph is only remembered, not
+// read (the transfer cache). Predator decides graph equality by the same
+// rooted traversal.
 //
-// A graph whose refined partition is not discrete (a real automorphism, or
-// two colours that hash alike) gets a *fallback* key: its structural
-// fingerprint only. Such a graph keeps the old path: the fingerprint as a
-// prefilter and the backtracking isomorphism search (rsg_equal) to decide.
-// Fallbacks are counted (support::Counter::kCanonFallbacks).
+// When refinement leaves two nodes with one colour, the order is finished by
+// individualization-refinement: each member of the lowest tied cell gets its
+// own colour in turn, refinement runs again, the search recurses until no
+// ties remain, and the key keeps the smallest encoding. The cell and the new
+// colour depend only on colours, so the set of leaves, and its minimum, is a
+// function of the isomorphism class. Keys that needed the search are
+// counted (support::Counter::kCanonFallbacks).
+//
+// Analysis states never need it. Every transfer output and JOIN result goes
+// through COMPRESS, which merges C_NODES_RSG-compatible nodes until none
+// remain, and two nodes refinement cannot separate have equal properties,
+// SPATHs and component, so they are compatible; widened members are
+// coarsened, which merges nodes with equal (TYPE, SPATH0, SHARED, SHSEL).
+// A tie then needs a 64-bit colour collision or a hand-built graph, and the
+// search has no pruning: it is factorial in the size of a symmetric
+// structure (one key of a root with k identical successors takes ~0.8 s at
+// k = 9; EXPERIMENTS.md, "Canonical keys"). StateDigestTest fails if any
+// corpus run needs the search.
 //
 // Keys hold interner ids, so they are meaningful only within one process and
 // one interner; they are never serialized.
@@ -37,17 +48,10 @@ class CanonicalKey {
  public:
   CanonicalKey() = default;
 
-  /// True when the bytes decide equality (the partition was discrete).
-  [[nodiscard]] bool exact() const noexcept { return exact_; }
-  /// For bucketing only: a hash of the bytes, or the fingerprint of a
-  /// fallback key.
-  [[nodiscard]] std::uint64_t hash() const noexcept { return hash_; }
-
-  /// Exact keys: equal iff the graphs are isomorphic. Fallback keys: equal
-  /// fingerprints, a prefilter that rsg_equal must confirm (same_graph).
+  /// Equal iff the graphs are isomorphic.
   friend bool operator==(const CanonicalKey& a,
                          const CanonicalKey& b) noexcept {
-    return a.hash_ == b.hash_ && a.exact_ == b.exact_ && a.bytes_ == b.bytes_;
+    return a.hash_ == b.hash_ && a.bytes_ == b.bytes_;
   }
 
   struct Hash {
@@ -59,27 +63,12 @@ class CanonicalKey {
  private:
   friend CanonicalKey canonical_key(const Rsg& g);
 
-  std::string bytes_;  // empty for a fallback key
-  std::uint64_t hash_ = 0;
-  bool exact_ = false;
+  std::string bytes_;
+  std::uint64_t hash_ = 0;  // of bytes_, for bucketing
   support::TrackedFootprint footprint_;
 };
 
 /// The canonical key of `g`.
 [[nodiscard]] CanonicalKey canonical_key(const Rsg& g);
-
-/// Graph identity through keys: byte equality when the keys are exact, the
-/// isomorphism search behind a fingerprint match otherwise. `ka` must be the
-/// key of `a` and `kb` the key of `b`.
-[[nodiscard]] bool same_graph(const CanonicalKey& ka, const Rsg& a,
-                              const CanonicalKey& kb, const Rsg& b);
-
-/// Order-independent structural fingerprint. Equal graphs (up to renaming)
-/// have equal fingerprints; the converse holds modulo hash collisions, which
-/// rsg_equal resolves exactly.
-[[nodiscard]] std::uint64_t fingerprint(const Rsg& g);
-
-/// Exact isomorphism test respecting node properties, links, and PL.
-[[nodiscard]] bool rsg_equal(const Rsg& a, const Rsg& b);
 
 }  // namespace psa::rsg

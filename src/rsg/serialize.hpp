@@ -22,7 +22,7 @@
 // itself is re-interned into the destination Interner on load, so a snapshot
 // is portable across processes whose interners differ. Identity semantics:
 // reading back into the ORIGINATING interner reproduces the value exactly
-// (rsg_equal / fingerprint compare symbol ids); reading into a different
+// (canonical keys compare symbol ids); reading into a different
 // interner yields the same graph up to symbol renaming, and re-serializing
 // it reproduces the original bytes exactly — every symbol collection is
 // written in spelling order (in-memory containers sort by interner id, which
@@ -178,9 +178,10 @@ class SymbolTableView {
 /// pvar bindings and out-links. Symbols go through `table`.
 void append_rsg(ByteWriter& out, const Rsg& g, SymbolTableBuilder& table);
 
-/// Read one RSG record. The result is canon-identical (rsg_equal) to the
-/// graph that was serialized when `table` re-interns into the originating
-/// interner; otherwise identical up to symbol renaming (see file comment).
+/// Read one RSG record. The result is canon-identical (equal canonical_key)
+/// to the graph that was serialized when `table` re-interns into the
+/// originating interner; otherwise identical up to symbol renaming (see file
+/// comment).
 /// Throws SnapshotError on any malformed field.
 [[nodiscard]] Rsg read_rsg(ByteReader& in, const SymbolTableView& table);
 

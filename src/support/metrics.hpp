@@ -70,7 +70,7 @@ enum class Counter : std::uint16_t {
   kTransferCacheHits,    // input graph already transferred at this node
   kTransferCacheMisses,  // fresh input graph (a real transfer)
   kWidenings,            // RSRSG widen() trips at Options::widen_threshold
-  kCanonFallbacks,       // canonical keys that fell back to rsg_equal
+  kCanonFallbacks,       // canonical keys that needed the tie search
 
   // Resource governor (docs/RESILIENCE.md ladder).
   kGovernorEscalations,

@@ -186,11 +186,11 @@ TEST(EngineTest, AllLevelsConvergeOnSmallPrograms) {
   }
 }
 
-TEST(EngineTest, InputsWithoutACanonicalOrderDedupByIsomorphism) {
+TEST(EngineTest, InputsThatNeedTheKeySearchDedupByIsomorphism) {
   // x -> root with two identical nxt successors has an automorphism, so its
-  // canonical key falls back to the fingerprint (rsg/canon.hpp) and the
-  // transfer cache keeps a graph copy. A second, slot-permuted entry state
-  // must still hit that copy, and change nothing else.
+  // canonical key needs the individualization search (rsg/canon.hpp). A
+  // second, slot-permuted entry state must still hit the transfer cache,
+  // and change nothing else.
   const auto program = prepare(R"(
     struct node { struct node *nxt; int v; };
     void main() {

@@ -99,20 +99,6 @@ TEST(RsrsgTest, JoinDisabledKeepsBoth) {
   EXPECT_EQ(set.size(), 2u);
 }
 
-TEST(RsrsgTest, MergeCombinesSets) {
-  Rsrsg a_set;
-  Rsrsg b_set;
-  RsgBuilder a;
-  a.pvar("x", a.node());
-  RsgBuilder b(a.interner_ptr());
-  b.pvar("y", b.node());
-  a_set.insert(a.g, kL1);
-  b_set.insert(b.g, kL1);
-  EXPECT_TRUE(a_set.merge(b_set, kL1));
-  EXPECT_EQ(a_set.size(), 2u);
-  EXPECT_FALSE(a_set.merge(b_set, kL1));  // idempotent
-}
-
 TEST(RsrsgTest, EqualsIsOrderInsensitive) {
   RsgBuilder a;
   a.pvar("x", a.node());

@@ -1,7 +1,7 @@
 // Serialization round-trip property suite for analysis-layer snapshots: for
 // every corpus program at L1/L2/L3 and for fuzz-generated programs, the
 // restored Rsrsg / AnalysisResult is canon-identical to the original —
-// member-for-member rsg_equal states, bit-exact scalars, intact degradation
+// member-for-member key-equal states, bit-exact scalars, intact degradation
 // report. Plus corruption tolerance at this layer: hostile bytes throw
 // SnapshotError, never UB.
 #include "analysis/snapshot.hpp"
@@ -52,8 +52,8 @@ void expect_same_result(const AnalysisResult& a, const AnalysisResult& b) {
     // Member-for-member, not just set-equal: restore() must not reorder,
     // join or coarsen.
     for (std::size_t j = 0; j < a.per_node[i].size(); ++j) {
-      EXPECT_TRUE(rsg::rsg_equal(a.per_node[i].graphs()[j],
-                                 b.per_node[i].graphs()[j]))
+      EXPECT_EQ(rsg::canonical_key(a.per_node[i].graphs()[j]),
+                rsg::canonical_key(b.per_node[i].graphs()[j]))
           << "stmt " << i << " member " << j;
     }
   }
@@ -71,7 +71,7 @@ TEST_P(CorpusSnapshotRoundTrip, ExitStateAndFullResultAreCanonIdentical) {
     const AnalysisResult result = analyze_program(prepared, options);
 
     // Exit-state Rsrsg snapshot, restored into the originating interner
-    // (rsg_equal is symbol-id-based, so exact identity is a same-interner
+    // (keys are symbol-id-based, so exact identity is a same-interner
     // property; cross-interner stability is the byte-identity check below).
     const Rsrsg& exit_state = result.at_exit(prepared.cfg);
     {
@@ -81,8 +81,8 @@ TEST_P(CorpusSnapshotRoundTrip, ExitStateAndFullResultAreCanonIdentical) {
       EXPECT_EQ(exit_state.widened(), back.widened());
       ASSERT_EQ(exit_state.size(), back.size());
       for (std::size_t j = 0; j < exit_state.size(); ++j) {
-        EXPECT_TRUE(
-            rsg::rsg_equal(exit_state.graphs()[j], back.graphs()[j]))
+        EXPECT_EQ(rsg::canonical_key(exit_state.graphs()[j]),
+                  rsg::canonical_key(back.graphs()[j]))
             << "member " << j;
       }
       EXPECT_TRUE(exit_state.equals(back));

@@ -74,11 +74,11 @@ TEST_P(IdempotenceSweep, RepeatedAnalysisIsStable) {
   for (std::size_t i = 0; i < r1.per_node.size(); ++i) {
     ASSERT_TRUE(r1.per_node[i].equals(r2.per_node[i]));
     for (std::size_t k = 0; k < r1.per_node[i].graphs().size(); ++k) {
-      // Fingerprints of equal sets must collide member-for-member.
-      const auto fp = rsg::fingerprint(r1.per_node[i].graphs()[k]);
+      // Keys of equal sets must match member-for-member.
+      const auto key = rsg::canonical_key(r1.per_node[i].graphs()[k]);
       bool matched = false;
       for (std::size_t j = 0; j < r2.per_node[i].graphs().size(); ++j) {
-        matched |= fp == rsg::fingerprint(r2.per_node[i].graphs()[j]);
+        matched |= key == rsg::canonical_key(r2.per_node[i].graphs()[j]);
       }
       EXPECT_TRUE(matched);
     }

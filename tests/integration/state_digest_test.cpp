@@ -75,11 +75,18 @@ std::vector<std::string> digest_lines(const DigestCase& c) {
   const support::MetricsRegion region;  // summaries and fixpoint alike
   const auto result = analysis::analyze_program(program, options);
   EXPECT_TRUE(result.converged()) << analysis::to_string(result.status);
-  // Graphs whose identity needed the isomorphism search (rsg/canon.hpp);
-  // reported in the XML output beside each case.
-  ::testing::Test::RecordProperty(
-      "canon_fallbacks",
-      std::to_string(region.delta()[support::Counter::kCanonFallbacks]));
+  // Keys that needed the tie search (rsg/canon.hpp), reported in the XML
+  // output beside each case. Analysis states are COMPRESSed, so refinement
+  // alone must order them: a tie here means a kernel change left two
+  // indistinguishable nodes unmerged, and every such key pays a factorial
+  // search.
+  const std::uint64_t fallbacks =
+      region.delta()[support::Counter::kCanonFallbacks];
+  ::testing::Test::RecordProperty("canon_fallbacks", std::to_string(fallbacks));
+  EXPECT_EQ(fallbacks, 0u)
+      << c.name() << ": " << fallbacks
+      << " canonical keys needed the tie search; see rsg/canon.hpp for why "
+         "analysis states never should";
 
   testing::StateDigester digester(program.interner(), program.unit.types);
   const std::vector<std::uint64_t> digests = digester.digest(result);
