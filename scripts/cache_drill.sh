@@ -4,8 +4,8 @@
 #
 #   1. a cold batch with --cache-dir, then a warm re-run — both
 #      byte-identical to a local uncached run, with cache entries on disk;
-#   5. one flipped byte in a cache entry — the next run quarantines it,
-#      recomputes, and reproduces the identical report;
+#   5. one flipped byte in every cache entry — the next run quarantines
+#      each entry it reads, recomputes, and reproduces the identical report;
 #   7. --cache-max-bytes bounds the cache — the post-batch sweep evicts down
 #      to the cap, journaling every decision, without changing the report;
 #   8. the function-granular tier — a one-line edit in a four-function chain
@@ -87,18 +87,37 @@ cached_run
 cmp -s "$WORK/run.txt" "$WORK/local.txt" ||
   fail "warm (cached) report differs from local report"
 
-echo "== scenario 5: corrupt cache entry self-heals with an identical report"
-entry="$(find "$CACHE" -maxdepth 1 -name '*.entry' | head -n 1)"
-[ -n "$entry" ] || fail "no cache entry to corrupt"
-# Flip one byte in the middle of the entry.
-size=$(wc -c <"$entry")
-printf '\377' | dd of="$entry" bs=1 seek=$((size / 2)) conv=notrunc 2>/dev/null
+echo "== scenario 5: corrupt cache entries self-heal with an identical report"
+# Flip one byte in the middle of EVERY entry. Entries are validated by the
+# lookup that reads them (the batch-start recovery reads none), and a warm
+# run reads only the entries its units need, so corrupting one arbitrary
+# entry would test whichever entry the directory listed first. With every entry rotten,
+# each unit's unit-tier and function-tier lookups both hit corruption: the
+# run must quarantine every entry, recompute, and store fresh ones.
+flipped=0
+: >"$WORK/rotten.sums"
+for entry in "$CACHE"/*.entry; do
+  [ -f "$entry" ] || continue
+  size=$(wc -c <"$entry")
+  printf '\377' | dd of="$entry" bs=1 seek=$((size / 2)) conv=notrunc \
+    2>/dev/null
+  cksum <"$entry" >>"$WORK/rotten.sums"
+  flipped=$((flipped + 1))
+done
+[ "$flipped" -gt 0 ] || fail "no cache entry to corrupt"
 cached_run
 [ "$status" -eq 1 ] || fail "self-heal run exited $status, want 1"
 cmp -s "$WORK/run.txt" "$WORK/local.txt" ||
   fail "self-healed report differs from local report"
-[ -n "$(find "$CACHE/quarantine" -type f 2>/dev/null)" ] ||
-  fail "corrupt entry was not quarantined"
+quarantined=$(find "$CACHE/quarantine" -type f 2>/dev/null | wc -l)
+[ "$quarantined" -eq "$flipped" ] ||
+  fail "$quarantined of $flipped corrupt entries were quarantined"
+for entry in "$CACHE"/*.entry; do
+  [ -f "$entry" ] || fail "no entry was stored back after the self-heal"
+  if grep -qxF "$(cksum <"$entry")" "$WORK/rotten.sums"; then
+    fail "corrupt entry $(basename "$entry") is still in the cache"
+  fi
+done
 [ -z "$(find "$CACHE" -maxdepth 1 -name '*.tmp.*' 2>/dev/null)" ] ||
   fail "stray .tmp files left in the cache directory"
 

@@ -37,8 +37,9 @@ cmake --build "$BUILD"
 ctest --test-dir "$BUILD" 2>&1 | tee test_output.txt
 
 # Tier-1 under AddressSanitizer + UndefinedBehaviorSanitizer (the `sanitize`
-# preset): memory errors and leaked thread-pool tasks in the governor's
-# cancellation paths show up here, not in the plain build.
+# preset): memory errors in the governor's degradation paths and in the
+# snapshot decoder's hostile-input handling show up here, not in the plain
+# build.
 if [ "${PSA_SKIP_SANITIZE:-0}" != "1" ]; then
   cmake -B build-sanitize -G Ninja -DPSA_SANITIZE=ON
   cmake --build build-sanitize

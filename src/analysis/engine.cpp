@@ -18,7 +18,6 @@ std::string_view to_string(AnalysisStatus status) {
     case AnalysisStatus::kIterationLimit: return "iteration limit";
     case AnalysisStatus::kSetLimit: return "RSRSG size limit";
     case AnalysisStatus::kDeadline: return "deadline expired";
-    case AnalysisStatus::kCancelled: return "cancelled";
   }
   return "unknown";
 }
@@ -36,8 +35,10 @@ class Engine {
     ctx_.induction = &induction;
     ctx_.types = options.types;
     ctx_.summaries = options.enable_summaries ? options.summaries : nullptr;
-    // Selector universe for the kHavoc transfer — same construction as the
-    // governor's (every selector some statement mentions).
+    // The selector universe: every selector some statement mentions. The
+    // concrete store can only ever write these, so SHSEL over this set is
+    // the full ⊤ for the analyzed function. The kHavoc transfer and the
+    // governor's kSummarize rung both saturate over it.
     {
       std::set<rsg::Symbol> sels;
       for (const cfg::CfgNode& node : cfg.nodes()) {
@@ -62,7 +63,7 @@ class Engine {
     AnalysisResult result;
     result.per_node.resize(cfg_.size());
 
-    ResourceGovernor governor(options_, cfg_);
+    ResourceGovernor governor(options_, cfg_, selectors_);
     const bool degrade = options_.budget_policy == BudgetPolicy::kDegrade;
 
     std::deque<cfg::NodeId> worklist;
@@ -110,13 +111,8 @@ class Engine {
     };
 
     while (!worklist.empty()) {
-      // --- Cancellation and deadline (cooperative poll). -----------------
-      const auto interrupt = governor.poll();
-      if (interrupt == ResourceGovernor::Interrupt::kCancelled) {
-        status = AnalysisStatus::kCancelled;
-        break;
-      }
-      if (interrupt == ResourceGovernor::Interrupt::kDeadline) {
+      // --- Deadline (cooperative poll). -----------------------------------
+      if (governor.deadline_expired()) {
         if (!degrade || !governor.begin_drain()) {
           // Hard fail, or the 2x drain allowance itself ran out.
           status = AnalysisStatus::kDeadline;
@@ -329,12 +325,11 @@ class Engine {
       std::vector<std::vector<rsg::Rsg>> produced(fresh.size());
       // The fan-out is where the combinatorial blow-ups live (a statement
       // with thousands of fresh inputs, Table 1's Sparse-LU explosion), so
-      // the stop predicate covers the memory budget as well as
-      // deadline/cancel — a loop-top-only check would let a single visit
-      // run away unboundedly before the budget is ever consulted.
+      // the stop predicate covers the memory budget as well as the
+      // deadline — a loop-top-only check would let a single visit run away
+      // unboundedly before the budget is ever consulted.
       const auto abort_fanout = [&] {
-        return governor.poll() != ResourceGovernor::Interrupt::kNone ||
-               memory_tripped();
+        return governor.deadline_expired() || memory_tripped();
       };
       for (std::size_t i = 0; i < fresh.size(); ++i) {
         if (abort_fanout()) break;
@@ -349,8 +344,8 @@ class Engine {
         // landed — a transient memory spike that drains before the loop-top
         // check would then lose may-facts for good.
         for (const rsg::CanonicalKey* key : fresh_keys) cache.erase(*key);
-        if (governor.poll() == ResourceGovernor::Interrupt::kNone) {
-          // Not deadline or cancellation, so the memory budget tripped:
+        if (!governor.deadline_expired()) {
+          // Not the deadline, so the memory budget tripped:
           // latch it for the loop top, whose own check may already see live
           // bytes back under budget.
           fanout_memory_trip = true;
@@ -455,7 +450,7 @@ class Engine {
   const cfg::Cfg& cfg_;
   const Options& options_;
   TransferContext ctx_;
-  std::vector<rsg::Symbol> selectors_;  // kHavoc selector universe
+  std::vector<rsg::Symbol> selectors_;  // selector universe
   std::unordered_map<cfg::NodeId, TransferCache> transfer_cache_;
 };
 

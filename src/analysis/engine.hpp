@@ -57,12 +57,6 @@ struct Options {
   /// kHardFail — the run stops with AnalysisStatus::kDeadline.
   std::uint64_t deadline_ms = 0;
 
-  /// Optional cooperative cancellation; not owned, may be signalled from any
-  /// thread. A cancelled run stops at the next poll point with
-  /// AnalysisStatus::kCancelled (cancellation never drains: the caller asked
-  /// for the run to end, not for a coarser answer).
-  const CancelToken* cancel = nullptr;
-
   /// Budget-breach handling; see BudgetPolicy.
   BudgetPolicy budget_policy = BudgetPolicy::kDegrade;
 
@@ -107,7 +101,6 @@ enum class AnalysisStatus : std::uint8_t {
   kIterationLimit,   // exceeded Options::max_node_visits
   kSetLimit,         // an RSRSG exceeded Options::max_rsgs_per_set
   kDeadline,         // Options::deadline_ms expired (drain included)
-  kCancelled,        // the CancelToken was signalled
 };
 
 [[nodiscard]] std::string_view to_string(AnalysisStatus status);

@@ -49,31 +49,19 @@ std::string DegradationReport::summary() const {
   return os.str();
 }
 
-ResourceGovernor::ResourceGovernor(const Options& options, const cfg::Cfg& cfg)
+ResourceGovernor::ResourceGovernor(const Options& options, const cfg::Cfg& cfg,
+                                   const std::vector<rsg::Symbol>& selectors)
     : policy_(options.policy()),
       widen_threshold_(options.widen_threshold),
       types_(options.types),
-      cancel_(options.cancel),
       deadline_seconds_(static_cast<double>(options.deadline_ms) / 1000.0),
       deadline_allowance_(deadline_seconds_),
-      rungs_(cfg.size(), DegradationRung::kNone) {
-  // The selector universe: every selector some statement mentions. The
-  // concrete store can only ever write these, so SHSEL over this set is the
-  // full ⊤ for the analyzed function.
-  std::set<rsg::Symbol> sels;
-  for (const cfg::CfgNode& node : cfg.nodes()) {
-    if (node.stmt.sel.valid()) sels.insert(node.stmt.sel);
-  }
-  selectors_.assign(sels.begin(), sels.end());
-}
+      selectors_(selectors),
+      rungs_(cfg.size(), DegradationRung::kNone) {}
 
-ResourceGovernor::Interrupt ResourceGovernor::poll() const {
-  if (cancel_ != nullptr && cancel_->cancelled()) return Interrupt::kCancelled;
-  if (deadline_seconds_ != 0.0 &&
-      timer_.elapsed_seconds() >= deadline_allowance_) {
-    return Interrupt::kDeadline;
-  }
-  return Interrupt::kNone;
+bool ResourceGovernor::deadline_expired() const {
+  return deadline_seconds_ != 0.0 &&
+         timer_.elapsed_seconds() >= deadline_allowance_;
 }
 
 bool ResourceGovernor::begin_drain() {

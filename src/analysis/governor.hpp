@@ -1,5 +1,5 @@
-// The resource governor: deadlines, cooperative cancellation, and the
-// graceful-degradation ladder that replaces hard budget aborts.
+// The resource governor: deadlines and the graceful-degradation ladder that
+// replaces hard budget aborts.
 //
 // The paper's own compiler dies on real inputs (Table 1: out-of-memory on
 // Sparse LU at L2/L3, 17-minute L1 runs on Barnes-Hut). Production shape
@@ -7,8 +7,8 @@
 // never abort: they degrade to a coarser *sound* answer and keep going. The
 // governor implements that discipline for the worklist engine:
 //
-//   * a wall-clock deadline (Options::deadline_ms) and a CancelToken, polled
-//     in the worklist loop and before each per-RSG transfer of a visit;
+//   * a wall-clock deadline (Options::deadline_ms), polled in the worklist
+//     loop and before each per-RSG transfer of a visit;
 //   * a three-rung widening ladder applied to the offending statement's
 //     RSRSG whenever a budget (node visits, memory, RSRSG cardinality)
 //     trips — every rung only merges nodes, widens may-information, or drops
@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -33,22 +32,6 @@ namespace psa::analysis {
 
 enum class AnalysisStatus : std::uint8_t;  // engine.hpp
 struct Options;                            // engine.hpp
-
-/// Cooperative cancellation shared between an analysis run and its caller.
-/// The caller keeps the token alive for the duration of the run; any thread
-/// may call cancel() and the engine stops at the next poll point with
-/// AnalysisStatus::kCancelled.
-class CancelToken {
- public:
-  void cancel() noexcept { cancelled_.store(true, std::memory_order_release); }
-  [[nodiscard]] bool cancelled() const noexcept {
-    return cancelled_.load(std::memory_order_acquire);
-  }
-  void reset() noexcept { cancelled_.store(false, std::memory_order_release); }
-
- private:
-  std::atomic<bool> cancelled_{false};
-};
 
 /// The widening ladder, harshest last. Every rung keeps the set's ALIAS
 /// patterns intact (the concrete-soundness oracle matches alias/null
@@ -112,13 +95,14 @@ struct DegradationReport {
 /// instance per analyze_cfg call. Not thread-safe.
 class ResourceGovernor {
  public:
-  ResourceGovernor(const Options& options, const cfg::Cfg& cfg);
+  /// `selectors` is the function's selector universe (every selector some
+  /// statement mentions); not owned, it must outlive the governor.
+  ResourceGovernor(const Options& options, const cfg::Cfg& cfg,
+                   const std::vector<rsg::Symbol>& selectors);
 
-  enum class Interrupt : std::uint8_t { kNone, kCancelled, kDeadline };
-
-  /// Cooperative poll for the worklist loop: cancel token first, then the
-  /// (current, possibly drain-extended) deadline.
-  [[nodiscard]] Interrupt poll() const;
+  /// Cooperative poll for the worklist loop: the (current, possibly
+  /// drain-extended) deadline has passed.
+  [[nodiscard]] bool deadline_expired() const;
 
   /// Enter the drain phase after a deadline trip: the allowance is extended
   /// to 2x the original deadline so a maximally-coarse fixpoint can finish.
@@ -166,14 +150,13 @@ class ResourceGovernor {
   std::size_t widen_threshold_;
   /// Struct table for typed ⊤ saturation (may be null — see Options::types).
   const lang::TypeTable* types_ = nullptr;
-  const CancelToken* cancel_ = nullptr;
   support::WallTimer timer_;
   double deadline_seconds_ = 0.0;        // 0 = no deadline
   double deadline_allowance_ = 0.0;      // current allowance (drain extends)
   bool draining_ = false;
-  /// Selector universe of the analyzed function (every selector a statement
-  /// mentions) — the kSummarize rung sets SHSEL for all of them.
-  std::vector<rsg::Symbol> selectors_;
+  /// Selector universe of the analyzed function — the kSummarize rung sets
+  /// SHSEL for all of them.
+  const std::vector<rsg::Symbol>& selectors_;
   std::vector<DegradationRung> rungs_;   // per CFG node
   DegradationRung floor_ = DegradationRung::kNone;
   DegradationReport report_;

@@ -36,7 +36,7 @@ DegradationRung read_rung(ByteReader& in, const char* what) {
 
 AnalysisStatus read_status(ByteReader& in, const char* what) {
   const std::uint8_t status = in.u8(what);
-  if (status > static_cast<std::uint8_t>(AnalysisStatus::kCancelled)) {
+  if (status > static_cast<std::uint8_t>(AnalysisStatus::kDeadline)) {
     throw SnapshotError(std::string("bad analysis status in ") + what);
   }
   return static_cast<AnalysisStatus>(status);

@@ -1,5 +1,9 @@
 #include "cache/cache.hpp"
 
+#include <fcntl.h>
+#include <sys/file.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
@@ -11,17 +15,6 @@
 #include "rsg/serialize.hpp"
 #include "support/io.hpp"
 #include "support/metrics.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <sys/file.h>
-#include <unistd.h>
-#define PSA_CACHE_HAS_PID 1
-#define PSA_CACHE_HAS_FLOCK 1
-#else
-#define PSA_CACHE_HAS_PID 0
-#define PSA_CACHE_HAS_FLOCK 0
-#endif
 
 namespace psa::cache {
 
@@ -53,13 +46,7 @@ bool envelope_valid(std::string_view bytes, std::string& diagnostic) {
   }
 }
 
-std::uint64_t writer_id() {
-#if PSA_CACHE_HAS_PID
-  return static_cast<std::uint64_t>(::getpid());
-#else
-  return 0;
-#endif
-}
+std::uint64_t writer_id() { return static_cast<std::uint64_t>(::getpid()); }
 
 /// Advisory sweep lock: one sweeper per cache directory at a time. A busy
 /// lock means another batch is already bounding the cache — skipping
@@ -68,21 +55,15 @@ std::uint64_t writer_id() {
 class SweepLock {
  public:
   explicit SweepLock(const std::string& dir) {
-#if PSA_CACHE_HAS_FLOCK
     const std::string path = (fs::path(dir) / "sweep.lock").string();
     fd_ = ::open(path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
     if (fd_ >= 0 && ::flock(fd_, LOCK_EX | LOCK_NB) != 0) {
       ::close(fd_);
       fd_ = -1;
     }
-#else
-    (void)dir;
-#endif
   }
   ~SweepLock() {
-#if PSA_CACHE_HAS_FLOCK
     if (fd_ >= 0) ::close(fd_);  // closing releases the flock
-#endif
   }
   SweepLock(const SweepLock&) = delete;
   SweepLock& operator=(const SweepLock&) = delete;
@@ -217,32 +198,22 @@ void ResultCache::quarantine(const std::string& path,
   PSA_COUNT(support::Counter::kCacheEvictions);
 }
 
-ResultCache::RecoveryReport ResultCache::recover() {
-  RecoveryReport report;
+std::size_t ResultCache::recover() {
+  std::size_t removed = 0;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
     const std::string name = entry.path().filename().string();
-    if (name.find(std::string(kEntrySuffix) + ".tmp.") != std::string::npos) {
-      // A writer died mid-store; the rename never happened, so the bytes
-      // were never trusted. Sweep the straggler.
-      fs::remove(entry.path(), ec);
-      ++report.tmp_removed;
-      PSA_COUNT(support::Counter::kCacheEvictions);
+    if (!entry.is_regular_file(ec) ||
+        name.find(std::string(kEntrySuffix) + ".tmp.") == std::string::npos) {
       continue;
     }
-    if (!name.ends_with(kEntrySuffix)) continue;
-    std::string bytes;
-    std::string diagnostic = "unreadable entry";
-    if (read_file(entry.path().string(), bytes) &&
-        envelope_valid(bytes, diagnostic)) {
-      ++report.entries_kept;
-    } else {
-      quarantine(entry.path().string(), diagnostic);
-      ++report.quarantined;
-    }
+    // A writer died mid-store; the rename never happened, so the bytes were
+    // never trusted. Sweep the straggler.
+    fs::remove(entry.path(), ec);
+    ++removed;
+    PSA_COUNT(support::Counter::kCacheEvictions);
   }
-  return report;
+  return removed;
 }
 
 ResultCache::SweepReport ResultCache::sweep(const SweepLimits& limits) {

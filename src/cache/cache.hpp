@@ -2,7 +2,7 @@
 //
 // One entry per CacheKey (cache/key.hpp), holding the serialized UnitPayload
 // bytes of a completed analysis — the same PSASNAP1-enveloped, checksummed
-// format the batch driver already uses for IPC and checkpoints, so every
+// format the batch driver uses for worker results and checkpoints, so every
 // read is self-validating.
 //
 // Directory layout (--cache-dir=DIR):
@@ -18,17 +18,19 @@
 //   sweep.journal                 append-only record of every sweep decision
 //
 // Robustness contract — every failure mode is contained, never propagated:
-//   * lookup() verifies the PSASNAP1 envelope checksum; a corrupt, truncated
-//     or version-skewed entry is EVICTED (quarantined) and reported as a
-//     miss — hostile bytes are never returned to a caller;
+//   * lookup() verifies the PSASNAP1 envelope checksum of every entry it
+//     reads; a corrupt, truncated or version-skewed entry is EVICTED
+//     (quarantined) and reported as a miss — hostile bytes are never
+//     returned to a caller. This is the gate: recover() reads no entry, so
+//     a rotten entry that no lookup reads stays on disk, never served,
+//     until a sweep picks it (and quarantines it);
 //   * deep validation failures the cache cannot see (payload-level skew
 //     caught only by full deserialization) are reported back through
 //     evict() and handled the same way;
 //   * store() writes tmp-then-rename, so a crash mid-write leaves only a
-//     .tmp straggler that recover() sweeps; store failures (disk full,
-//     permissions) degrade to "no cache" — they never fail the analysis;
-//   * recover() is the startup scan: stray .tmp files are deleted, every
-//     entry's envelope is re-verified, and invalid entries are quarantined;
+//     .tmp straggler that recover() deletes at the next batch start; store
+//     failures (disk full, permissions) degrade to "no cache" — they never
+//     fail the analysis;
 //   * sweep() bounds the cache (--cache-max-bytes / --cache-max-age): age
 //     expiry first, then oldest-first eviction until the directory fits the
 //     byte cap. lookup() touches an entry's mtime on every hit, so recency
@@ -110,20 +112,11 @@ class ResultCache {
   /// cache_evictions.
   void evict(const CacheKey& key, std::string_view reason);
 
-  struct RecoveryReport {
-    std::size_t entries_kept = 0;
-    std::size_t tmp_removed = 0;
-    std::size_t quarantined = 0;
-
-    [[nodiscard]] bool clean() const noexcept {
-      return tmp_removed == 0 && quarantined == 0;
-    }
-  };
-
-  /// Startup scan of the whole directory: delete stray .tmp files, verify
-  /// every entry envelope, quarantine what fails. Never throws — an
-  /// unreadable entry is quarantined (or deleted if even that fails).
-  RecoveryReport recover();
+  /// Startup sweep: delete the .entry.tmp.* stragglers of writers that died
+  /// mid-store, and return how many. Reads no entry: lookup() validates
+  /// every entry it serves, and sweep() every entry it unlinks. Never
+  /// throws.
+  std::size_t recover();
 
   /// Eviction policy for sweep(). Zero fields are unbounded.
   struct SweepLimits {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "rsg/serialize.hpp"
+#include "support/hash.hpp"
 #include "support/metrics.hpp"
 
 namespace psa::cache {
@@ -24,22 +25,14 @@ class KeyBuilder {
   [[nodiscard]] CacheKey finish() const {
     const std::string& bytes = out_.bytes();
     CacheKey key;
-    key.hi = fnv1a(bytes, 0xcbf29ce484222325ull);
+    key.hi = support::fnv1a(bytes);
     // Independent second lane: a different basis plus a final avalanche so
     // the two halves never cancel the same way.
-    key.lo = support::mix64(fnv1a(bytes, 0x9ae16a3b2f90404full));
+    key.lo = support::mix64(support::fnv1a(bytes, 0x9ae16a3b2f90404full));
     return key;
   }
 
  private:
-  static std::uint64_t fnv1a(std::string_view s, std::uint64_t h) {
-    for (const char c : s) {
-      h ^= static_cast<std::uint8_t>(c);
-      h *= 0x100000001b3ull;
-    }
-    return h;
-  }
-
   rsg::ByteWriter out_;
 };
 

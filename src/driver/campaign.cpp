@@ -1,5 +1,10 @@
 #include "driver/campaign.hpp"
 
+#include <fcntl.h>
+#include <stdlib.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
@@ -13,19 +18,9 @@
 #include "driver/supervisor.hpp"
 #include "support/io.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define PSA_CAMPAIGN_POSIX 1
-#include <fcntl.h>
-#include <stdlib.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
-
 namespace psa::driver {
 
 namespace fs = std::filesystem;
-
-#if defined(PSA_CAMPAIGN_POSIX)
 
 namespace {
 
@@ -404,16 +399,5 @@ int run_fault_campaign(const CampaignOptions& options) {
   std::fputs(verdict.str().c_str(), stdout);
   return violations.empty() ? 0 : 1;
 }
-
-#else  // !PSA_CAMPAIGN_POSIX
-
-int run_fault_campaign(const CampaignOptions&) {
-  std::fprintf(stderr,
-               "campaign: fault campaigns need POSIX fork/exec; this build "
-               "has no process control\n");
-  return 2;
-}
-
-#endif
 
 }  // namespace psa::driver

@@ -47,14 +47,6 @@ std::string unescape_detail(std::string_view s) {
   return out;
 }
 
-std::uint64_t fnv1a(std::string_view s, std::uint64_t h = 0xcbf29ce484222325ull) {
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 }  // namespace
 
 std::string unit_key(const AnalysisUnit& unit) {
@@ -67,7 +59,8 @@ std::string unit_key(const AnalysisUnit& unit) {
     if (sanitized.size() >= 64) break;
   }
   if (sanitized.empty()) sanitized = "unit";
-  const std::uint64_t h = fnv1a(unit.function, fnv1a(unit.name) ^ 0x9e3779b9ull);
+  const std::uint64_t h = support::fnv1a(
+      unit.function, support::fnv1a(unit.name) ^ 0x9e3779b9ull);
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(h));
@@ -79,7 +72,7 @@ Checkpoint::Checkpoint(std::string dir, bool resume) : dir_(std::move(dir)) {
   journal_path_ = (fs::path(dir_) / "journal.psaj").string();
 
   if (resume) {
-    // A worker killed mid-write leaves its .snap.tmp behind; the rename
+    // A batch killed mid-write leaves its .snap.tmp behind; the rename
     // never happened, so the bytes were never a result. Sweep them before
     // replay — a stray tmp must neither shadow a re-run's write nor survive
     // as junk in a directory the resume contract calls recovered.
@@ -194,6 +187,15 @@ std::string Checkpoint::snapshot_path(const std::string& key) const {
 
 std::string Checkpoint::snapshot_tmp_path(const std::string& key) const {
   return (fs::path(dir_) / (key + ".snap.tmp")).string();
+}
+
+bool Checkpoint::store_payload(const std::string& key,
+                               std::string_view bytes) const {
+  const auto result =
+      support::io::atomic_write(snapshot_tmp_path(key), snapshot_path(key),
+                                bytes);
+  if (!result) PSA_COUNT(support::Counter::kIoDegradations);
+  return result.ok;
 }
 
 std::optional<UnitPayload> Checkpoint::load_payload(const std::string& key,

@@ -1,9 +1,11 @@
 // The on-disk checkpoint of a batch run: an append-only journal of unit
-// attempts/outcomes plus one snapshot file per completed unit.
+// attempts/outcomes plus one snapshot file per analyzed unit.
 //
 // Directory layout (--checkpoint=DIR):
 //   journal.psaj          append-only text journal (see below)
 //   <unit-key>.snap       UnitPayload snapshot (envelope-checksummed bytes)
+//                         of a unit that ended ok or partial, written by
+//                         the supervisor before the unit's outcome record
 //   <unit-key>.snap.tmp   in-flight write; renamed to .snap on completion,
 //                         so the bare presence of .snap marks a finished
 //                         write (the checksum still guards its content)
@@ -28,6 +30,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "driver/payload.hpp"
@@ -60,9 +63,15 @@ class Checkpoint {
   [[nodiscard]] const UnitOutcome* replayed_outcome(
       const std::string& key) const;
 
-  /// Snapshot paths for the worker protocol (write .tmp, rename to .snap).
+  /// Snapshot paths (store_payload writes .tmp, then renames to .snap).
   [[nodiscard]] std::string snapshot_path(const std::string& key) const;
   [[nodiscard]] std::string snapshot_tmp_path(const std::string& key) const;
+
+  /// Durably write the payload bytes of `key` (support::io::atomic_write).
+  /// False means the snapshot is not known durable: the caller counts the
+  /// degradation and carries on — on a later --resume the unit re-runs.
+  [[nodiscard]] bool store_payload(const std::string& key,
+                                   std::string_view bytes) const;
 
   /// Load + validate the snapshot of `key`. Returns nullopt (with the
   /// diagnostic in `error`) when missing or corrupt — the caller re-runs the
@@ -71,7 +80,7 @@ class Checkpoint {
       const std::string& key, std::string* error) const;
 
   /// Diagnostics produced while opening the directory: on --resume, a stray
-  /// .snap.tmp left by a worker killed mid-write is deleted (its rename
+  /// .snap.tmp left by a supervisor killed mid-write is deleted (its rename
   /// never happened, so it was never a result) and noted here. The
   /// supervisor forwards these to the batch log.
   [[nodiscard]] const std::vector<std::string>& recovery_notes()

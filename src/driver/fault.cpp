@@ -1,10 +1,10 @@
 #include "driver/fault.hpp"
 
-#include <chrono>
+#include <unistd.h>
+
 #include <cstdlib>
 #include <new>
 #include <stdexcept>
-#include <thread>
 
 namespace psa::driver {
 
@@ -69,7 +69,7 @@ void inject_fault(FaultKind kind) {
     case FaultKind::kCrash:
       std::abort();
     case FaultKind::kHang:
-      for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
+      for (;;) ::pause();  // until the watchdog's signal ends the worker
     case FaultKind::kOom:
       throw std::bad_alloc();
     case FaultKind::kThrow:

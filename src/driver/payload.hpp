@@ -4,8 +4,11 @@
 // with the rsg/serialize.hpp wire format: the full AnalysisResult (every
 // per-statement RSRSG, degradation report, resource accounting), the checker
 // findings, and the CFG exit node id so reports can quote exit-state sizes
-// without re-running the frontend. The same bytes are the on-disk checkpoint
-// of the unit, so a resumed batch replays them instead of re-analyzing.
+// without re-running the frontend. A forked worker writes these bytes to its
+// result pipe; the supervisor validates them with deserialize_unit_payload
+// and, under --checkpoint, writes the same bytes as the unit's snapshot, so
+// a resumed batch replays them instead of re-analyzing. The result cache
+// stores the same bytes too.
 //
 // A payload is self-contained: deserialization re-interns every symbol into
 // a fresh Interner owned by the payload, so the supervisor can hold results

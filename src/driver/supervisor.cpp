@@ -1,17 +1,25 @@
 #include "driver/supervisor.hpp"
 
+#include <poll.h>
+#include <sys/types.h>
+#include <sys/wait.h>
+#include <unistd.h>
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
+
 #include <algorithm>
-#include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <deque>
-#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <new>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "analysis/analyzer.hpp"
 #include "cache/cache.hpp"
@@ -25,22 +33,8 @@
 #include "support/io.hpp"
 #include "support/metrics.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define PSA_DRIVER_HAS_FORK 1
-#include <csignal>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#if defined(__linux__)
-#include <sys/prctl.h>
-#endif
-#else
-#define PSA_DRIVER_HAS_FORK 0
-#endif
-
 namespace psa::driver {
 
-namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
 std::string describe(const UnitOutcome& outcome) {
@@ -104,8 +98,6 @@ std::size_t BatchResult::finding_count() const {
   return n;
 }
 
-bool isolation_supported() noexcept { return PSA_DRIVER_HAS_FORK != 0; }
-
 analysis::Options stepped_down(const analysis::Options& options) {
   analysis::Options out = options;
   if (out.widen_threshold == 0 || out.widen_threshold > 16) {
@@ -128,6 +120,23 @@ namespace {
 bool cacheable(const UnitPayload& payload, const analysis::Options& engine) {
   return payload.frontend_ok && payload.result.converged() &&
          (engine.deadline_ms == 0 || payload.result.degradation.empty());
+}
+
+/// Re-issue a cache-served payload as this run's result: this unit's
+/// identity and this run's metrics. The report fields (result, findings,
+/// salvage summary) stay byte-equal to a cold run; the cold run's recorded
+/// cost (wall time, visits, memory, fixpoint ops) is zeroed, because this
+/// run ran no fixpoint. The entry on disk keeps its bytes.
+std::string reissue(UnitPayload& cached, const AnalysisUnit& unit,
+                    const support::MetricsRegion& unit_metrics) {
+  cached.unit_name = unit.name;
+  cached.function = unit.function;
+  cached.result.seconds = 0.0;
+  cached.result.node_visits = 0;
+  cached.result.memory = {};
+  cached.result.ops = {};
+  cached.metrics = unit_metrics.delta();
+  return serialize_unit_payload(cached, *cached.interner);
 }
 
 /// One cache probe, timed as the cache-lookup phase. A hit returns the
@@ -210,14 +219,7 @@ std::string run_unit_serialized(const AnalysisUnit& unit,
       std::string hit_bytes;
       if (std::optional<UnitPayload> cached =
               probe_cache(*cache, key, cache::EntryTier::kUnit, hit_bytes)) {
-        // Re-issue under this run's identity and metrics: the report fields
-        // (result, findings, salvage summary) are byte-equal to a cold run;
-        // only the truthful counters (cache_hits, lookup timers) differ in
-        // the metrics stream.
-        cached->unit_name = unit.name;
-        cached->function = unit.function;
-        cached->metrics = unit_metrics.delta();
-        return serialize_unit_payload(*cached, *cached->interner);
+        return reissue(*cached, unit, unit_metrics);
       }
 
       // Unit miss: the function-granular tier (docs/CACHING.md). First
@@ -247,13 +249,11 @@ std::string run_unit_serialized(const AnalysisUnit& unit,
       if (std::optional<UnitPayload> cached =
               probe_cache(*cache, func_key, cache::EntryTier::kFunction,
                           hit_bytes)) {
-        cached->unit_name = unit.name;
-        cached->function = unit.function;
-        cached->metrics = unit_metrics.delta();
+        std::string served = reissue(*cached, unit, unit_metrics);
         // Promote to the unit fast path: the next unedited run of this unit
         // hits the unit entry without touching the function tier.
         (void)cache->store(key, hit_bytes);
-        return serialize_unit_payload(*cached, *cached->interner);
+        return served;
       }
     }
 
@@ -308,73 +308,6 @@ void log_line(const BatchOptions& options, const std::string& line) {
   if (options.log) options.log(line);
 }
 
-/// Scratch snapshot directory when the batch has no --checkpoint: same
-/// write-tmp-then-rename worker protocol, deleted when the batch ends.
-class ScratchDir {
- public:
-  ScratchDir() {
-    static std::atomic<unsigned> counter{0};
-    const unsigned n = counter.fetch_add(1);
-    std::ostringstream name;
-    name << "psa-batch-"
-#if PSA_DRIVER_HAS_FORK
-         << static_cast<long>(::getpid())
-#else
-         << "x"
-#endif
-         << "-" << n;
-    path_ = (fs::temp_directory_path() / name.str()).string();
-    fs::create_directories(path_);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  ScratchDir(const ScratchDir&) = delete;
-  ScratchDir& operator=(const ScratchDir&) = delete;
-
-  [[nodiscard]] std::string snapshot_path(const std::string& key) const {
-    return (fs::path(path_) / (key + ".snap")).string();
-  }
-  [[nodiscard]] std::string snapshot_tmp_path(const std::string& key) const {
-    return (fs::path(path_) / (key + ".snap.tmp")).string();
-  }
-
- private:
-  std::string path_;
-};
-
-/// Write bytes to `tmp`, fsync, rename to `final`, fsync the directory (all
-/// via support::io::atomic_write — this used to claim "fsync-close" over a
-/// plain std::ofstream, which never fsyncs). The rename is the completion
-/// marker: a half-written snapshot never carries the .snap name.
-bool write_snapshot_file(const std::string& tmp, const std::string& final_path,
-                         std::string_view bytes) {
-  const auto result = support::io::atomic_write(tmp, final_path, bytes);
-  if (!result) {
-    PSA_COUNT(support::Counter::kIoDegradations);
-  }
-  return result.ok;
-}
-
-std::optional<UnitPayload> load_snapshot_file(const std::string& path,
-                                              std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error != nullptr) *error = "missing snapshot " + path;
-    return std::nullopt;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string bytes = buffer.str();
-  try {
-    return deserialize_unit_payload(bytes);
-  } catch (const rsg::SnapshotError& e) {
-    if (error != nullptr) *error = std::string(e.what()) + " in " + path;
-    return std::nullopt;
-  }
-}
-
 /// Turn a validated payload into the unit's outcome (+ report payload).
 void adopt_payload(UnitReport& report, UnitPayload&& payload, int attempts) {
   if (payload.frontend_ok) {
@@ -398,28 +331,37 @@ void adopt_payload(UnitReport& report, UnitPayload&& payload, int attempts) {
   report.outcome.attempts = attempts;
 }
 
-struct SnapshotPaths {
-  std::string tmp;
-  std::string final_path;
-};
-
-#if PSA_DRIVER_HAS_FORK
-
-struct RunningWorker {
-  pid_t pid = -1;
+/// Shared batch bookkeeping: one pending attempt of one unit.
+struct PendingAttempt {
   std::size_t unit_index = 0;
   int attempt = 1;
-  Clock::time_point start;
-  bool term_sent = false;
-  bool timed_out = false;
-  Clock::time_point term_time;
+  analysis::Options engine;
 };
 
-/// The worker body after fork(). Never returns.
+/// The most receive buffer a worker's declared result size may reserve up
+/// front. The declaration is untrusted; a larger result still arrives, the
+/// buffer just grows as it does.
+constexpr std::uint64_t kMaxResultReserve = std::uint64_t{256} << 20;
+
+struct RunningWorker {
+  PendingAttempt attempt;
+  pid_t pid = -1;
+  /// Read end of the worker's result pipe.
+  int fd = -1;
+  /// The result bytes received so far.
+  std::string bytes;
+  /// Next watchdog action: SIGTERM at the unit budget, then SIGKILL a grace
+  /// period later; max() when none is due.
+  Clock::time_point deadline = Clock::time_point::max();
+  /// SIGTERM sent: the worker exceeded its budget.
+  bool timed_out = false;
+};
+
+/// The worker body after fork(): run the unit, write the result bytes to
+/// the supervisor's pipe, exit. Never returns.
 [[noreturn]] void run_worker(const AnalysisUnit& unit,
                              const analysis::Options& engine,
-                             const UnitRunner& runner,
-                             const SnapshotPaths& paths) {
+                             const UnitRunner& runner, int fd) {
 #if defined(__linux__)
   // Die with the supervisor: a SIGKILLed batch must not leave hung workers
   // behind (the resume acceptance test kills the supervisor mid-run).
@@ -428,10 +370,8 @@ struct RunningWorker {
   try {
     // The deliberate-fault hook is honored ONLY here, inside the sandbox.
     inject_fault(FaultPlan::from_env().for_unit(unit.name));
-    const std::string bytes = runner(unit, engine);
-    if (!write_snapshot_file(paths.tmp, paths.final_path, bytes)) {
-      std::fprintf(stderr, "psa worker: cannot write snapshot %s\n",
-                   paths.final_path.c_str());
+    if (!support::io::write_all(fd, runner(unit, engine))) {
+      std::fprintf(stderr, "psa worker: cannot write the result pipe\n");
       ::_exit(1);
     }
     ::_exit(0);
@@ -445,34 +385,37 @@ struct RunningWorker {
   }
 }
 
-/// Classify a reaped worker. `status` is the raw waitpid status.
-UnitOutcome classify_worker_death(int status, const RunningWorker& worker,
-                                  const SnapshotPaths& paths,
-                                  std::optional<UnitPayload>& payload_out) {
-  UnitOutcome outcome;
-  outcome.attempts = worker.attempt;
-
-  if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-    // Clean completion wins even when the watchdog's TERM raced it: the
-    // snapshot is the completion marker, and it validated or it didn't.
-    std::string error;
-    std::optional<UnitPayload> payload =
-        load_snapshot_file(paths.final_path, &error);
-    if (payload) {
-      if (payload->frontend_ok) {
-        outcome.kind = UnitOutcomeKind::kOk;
-        payload_out = std::move(payload);
-      } else {
-        outcome.kind = UnitOutcomeKind::kFrontendError;
-        outcome.detail = payload->frontend_error;
-      }
-      return outcome;
-    }
-    outcome.kind = UnitOutcomeKind::kExit;
-    outcome.exit_code = 0;
-    outcome.detail = "clean exit but " + error;
-    return outcome;
+/// Take what the worker's pipe holds now (one read: poll() said it would
+/// not block). False once the pipe is done: EOF, or a read error, after
+/// which the worker is killed so that reaping it cannot block.
+bool receive(RunningWorker& worker) {
+  char chunk[64 * 1024];
+  const ::ssize_t n = ::read(worker.fd, chunk, sizeof(chunk));
+  if (n < 0) {
+    if (errno == EINTR) return true;
+    ::kill(worker.pid, SIGKILL);
+    return false;
   }
+  if (n == 0) return false;
+  const bool header_done =
+      worker.bytes.size() < rsg::kSnapshotHeaderSize &&
+      worker.bytes.size() + static_cast<std::size_t>(n) >=
+          rsg::kSnapshotHeaderSize;
+  worker.bytes.append(chunk, static_cast<std::size_t>(n));
+  if (header_done) {
+    // Size the buffer once from the envelope instead of growing it by
+    // doubling; deserialize_unit_payload still validates every byte.
+    worker.bytes.reserve(static_cast<std::size_t>(std::min(
+        rsg::declared_snapshot_size(worker.bytes), kMaxResultReserve)));
+  }
+  return true;
+}
+
+/// Classify a worker that did not exit cleanly. `status` is the raw waitpid
+/// status.
+UnitOutcome classify_worker_death(int status, const RunningWorker& worker) {
+  UnitOutcome outcome;
+  outcome.attempts = worker.attempt.attempt;
 
   if (worker.timed_out) {
     outcome.kind = UnitOutcomeKind::kTimeout;
@@ -507,14 +450,17 @@ UnitOutcome classify_worker_death(int status, const RunningWorker& worker,
   return outcome;
 }
 
-#endif  // PSA_DRIVER_HAS_FORK
-
-/// Shared batch bookkeeping: one pending attempt of one unit.
-struct PendingAttempt {
-  std::size_t unit_index = 0;
-  int attempt = 1;
-  analysis::Options engine;
-};
+/// poll() timeout until the earliest watchdog deadline; -1 when none is due.
+int poll_timeout_ms(const std::vector<RunningWorker>& running) {
+  Clock::time_point next = Clock::time_point::max();
+  for (const RunningWorker& w : running) next = std::min(next, w.deadline);
+  if (next == Clock::time_point::max()) return -1;
+  const auto ms =
+      std::chrono::ceil<std::chrono::milliseconds>(next - Clock::now())
+          .count();
+  return static_cast<int>(std::clamp<std::int64_t>(
+      ms, 0, std::numeric_limits<int>::max()));
+}
 
 }  // namespace
 
@@ -527,26 +473,22 @@ BatchResult run_batch(const std::vector<AnalysisUnit>& units,
 
   BatchResult result;
 
-  // Open + recover the result cache before anything runs: stray tmp files
-  // from a killed writer are swept and corrupt entries quarantined exactly
-  // once, so every worker that follows sees a verified directory. An
-  // unusable cache dir is a sound degradation, not a batch killer: the run
-  // proceeds uncached (correct, just slower) with the failure counted and
-  // noted. The shared_ptr keeps the cache alive inside the runner closure
-  // (and across fork, where each worker gets its copy).
+  // Open the result cache before anything runs and delete the tmp
+  // stragglers of writers that died mid-store. Entries are not read here:
+  // every lookup validates what it serves. An unusable cache dir is a sound
+  // degradation, not a batch killer: the run proceeds uncached (correct,
+  // just slower) with the failure counted and noted. The shared_ptr keeps
+  // the cache alive inside the runner closure (and across fork, where each
+  // worker gets its copy).
   std::shared_ptr<cache::ResultCache> cache;
   if (!options.cache_dir.empty()) {
     try {
       cache = std::make_shared<cache::ResultCache>(options.cache_dir);
-      const cache::ResultCache::RecoveryReport recovered = cache->recover();
-      std::ostringstream line;
-      line << "cache " << cache->dir() << ": " << recovered.entries_kept
-           << " entries";
-      if (!recovered.clean()) {
-        line << ", swept " << recovered.tmp_removed << " tmp, quarantined "
-             << recovered.quarantined;
+      std::string line = "cache " + cache->dir();
+      if (const std::size_t swept = cache->recover(); swept > 0) {
+        line += ": swept " + std::to_string(swept) + " tmp";
       }
-      log_line(options, line.str());
+      log_line(options, line);
     } catch (const std::exception& e) {
       PSA_COUNT(support::Counter::kIoDegradations);
       ++result.io_degradations;
@@ -571,31 +513,16 @@ BatchResult run_batch(const std::vector<AnalysisUnit>& units,
   }
 
   std::unique_ptr<Checkpoint> checkpoint;
-  std::unique_ptr<ScratchDir> scratch;
   if (!options.checkpoint_dir.empty()) {
     checkpoint =
         std::make_unique<Checkpoint>(options.checkpoint_dir, options.resume);
     for (const std::string& note : checkpoint->recovery_notes()) {
       log_line(options, note);
     }
-  } else {
-    scratch = std::make_unique<ScratchDir>();
   }
 
   std::vector<std::string> keys(units.size());
   for (std::size_t i = 0; i < units.size(); ++i) keys[i] = unit_key(units[i]);
-
-  const auto paths_for = [&](std::size_t i) {
-    SnapshotPaths p;
-    if (checkpoint) {
-      p.tmp = checkpoint->snapshot_tmp_path(keys[i]);
-      p.final_path = checkpoint->snapshot_path(keys[i]);
-    } else {
-      p.tmp = scratch->snapshot_tmp_path(keys[i]);
-      p.final_path = scratch->snapshot_path(keys[i]);
-    }
-    return p;
-  };
 
   // Journal writes are checked: a record that does not land durably is a
   // sound degradation — the unit merely re-runs on a later --resume — so it
@@ -650,26 +577,25 @@ BatchResult run_batch(const std::vector<AnalysisUnit>& units,
     pending.push_back(PendingAttempt{i, 1, options.engine});
   }
 
-  const bool isolate =
-      options.isolate && isolation_supported() && PSA_DRIVER_HAS_FORK != 0;
-  if (options.isolate && !isolate) {
-    log_line(options,
-             "isolation unsupported on this platform; running in-process");
-  }
-  result.isolated = isolate;
-
+  result.isolated = options.isolate;
   const int max_attempts = std::max(1, options.max_attempts);
+
+  const auto start_attempt = [&](const PendingAttempt& a) {
+    journal_attempt(a.unit_index, a.attempt);
+    log_line(options, (a.attempt > 1 ? "start (retry) " : "start ") +
+                          units[a.unit_index].name);
+  };
 
   // Decide what to do with a classified failure: retry once at a stepped-down
   // budget, or quarantine.
-  const auto settle = [&](std::size_t i, int attempt,
-                          const analysis::Options& engine,
-                          UnitOutcome outcome) {
-    if (retryable(outcome.kind) && attempt < max_attempts) {
+  const auto settle = [&](const PendingAttempt& a, UnitOutcome outcome) {
+    const std::size_t i = a.unit_index;
+    if (retryable(outcome.kind) && a.attempt < max_attempts) {
       log_line(options, "retry " + units[i].name + " (" + describe(outcome) +
                             "), stepped-down budget");
       journal_outcome(i, outcome);
-      pending.push_back(PendingAttempt{i, attempt + 1, stepped_down(engine)});
+      pending.push_back(
+          PendingAttempt{i, a.attempt + 1, stepped_down(a.engine)});
       return;
     }
     if (outcome.failed() && retryable(outcome.kind)) {
@@ -680,170 +606,164 @@ BatchResult run_batch(const std::vector<AnalysisUnit>& units,
     log_line(options, "done " + units[i].name + ": " + describe(outcome));
   };
 
-  if (isolate) {
-#if PSA_DRIVER_HAS_FORK
+  // The one completion step of an attempt that returned its bytes — a
+  // worker's clean exit or the in-process runner's return: validate, keep
+  // the checkpoint snapshot of an analyzed unit (before its outcome record,
+  // so a journaled ok always has a snapshot to resume from), adopt, journal.
+  // Bytes that fail validation fail the attempt like any other death.
+  const auto complete = [&](const PendingAttempt& a, std::string_view bytes) {
+    const std::size_t i = a.unit_index;
+    UnitPayload payload;
+    try {
+      payload = deserialize_unit_payload(bytes);
+    } catch (const rsg::SnapshotError& e) {
+      UnitOutcome outcome;
+      outcome.kind = UnitOutcomeKind::kExit;
+      outcome.attempts = a.attempt;
+      outcome.detail = std::string("clean exit but ") + e.what();
+      settle(a, std::move(outcome));
+      return;
+    }
+    if (checkpoint && payload.frontend_ok &&
+        !checkpoint->store_payload(keys[i], bytes)) {
+      // The in-memory payload is adopted regardless; only a later --resume
+      // pays (it re-runs this unit). Sound, counted, noted.
+      ++result.io_degradations;
+      log_line(options, "snapshot degraded: " + units[i].name + " not durable");
+    }
+    UnitReport& report = result.units[i];
+    adopt_payload(report, std::move(payload), a.attempt);
+    journal_outcome(i, report.outcome);
+    log_line(options, "done " + units[i].name + ": " + describe(report.outcome));
+  };
+
+  if (result.isolated) {
     const std::size_t jobs = std::max<std::size_t>(1, options.jobs);
+    const auto unit_budget = std::chrono::milliseconds(options.unit_timeout_ms);
+    const auto grace = std::chrono::milliseconds(options.term_grace_ms);
     std::vector<RunningWorker> running;
+    std::vector<pollfd> polled;
 
     const auto spawn_next = [&]() {
-      const PendingAttempt next = pending.front();
+      RunningWorker worker;
+      worker.attempt = std::move(pending.front());
       pending.pop_front();
-      const AnalysisUnit& unit = units[next.unit_index];
-      const SnapshotPaths paths = paths_for(next.unit_index);
-      journal_attempt(next.unit_index, next.attempt);
-      log_line(options, (next.attempt > 1 ? "start (retry) " : "start ") +
-                            unit.name);
-      std::error_code ec;
-      fs::remove(paths.final_path, ec);  // stale result must not count
-      const pid_t pid = ::fork();
-      if (pid == 0) {
-        run_worker(unit, next.engine, effective_runner, paths);
+      start_attempt(worker.attempt);
+      int fds[2] = {-1, -1};
+      if (::pipe(fds) == 0) {
+        worker.pid = ::fork();
+        if (worker.pid == 0) {
+          ::close(fds[0]);
+          run_worker(units[worker.attempt.unit_index], worker.attempt.engine,
+                     effective_runner, fds[1]);
+        }
+        ::close(fds[1]);
+        if (worker.pid < 0) ::close(fds[0]);
       }
-      if (pid < 0) {
-        // fork failure is a batch-level resource problem; treat the unit as
-        // an exit failure and keep going.
+      if (worker.pid < 0) {
+        // A pipe or fork failure is a batch-level resource problem; treat
+        // the unit as an exit failure and keep going.
         UnitOutcome outcome;
         outcome.kind = UnitOutcomeKind::kExit;
-        outcome.attempts = next.attempt;
+        outcome.attempts = worker.attempt.attempt;
         outcome.detail = "fork failed";
-        settle(next.unit_index, next.attempt, next.engine, outcome);
+        settle(worker.attempt, outcome);
         return;
       }
-      RunningWorker worker;
-      worker.pid = pid;
-      worker.unit_index = next.unit_index;
-      worker.attempt = next.attempt;
-      worker.start = Clock::now();
-      running.push_back(worker);
+      worker.fd = fds[0];
+      if (options.unit_timeout_ms > 0) {
+        worker.deadline = Clock::now() + unit_budget;
+      }
+      running.push_back(std::move(worker));
     };
 
-    // Engine options of the in-flight attempt, so retries step down from
-    // what actually ran.
-    const auto engine_for = [&](const RunningWorker& w) {
-      return w.attempt == 1 ? options.engine
-                            : [&] {
-                                analysis::Options e = options.engine;
-                                for (int a = 1; a < w.attempt; ++a) {
-                                  e = stepped_down(e);
-                                }
-                                return e;
-                              }();
+    // Reap a worker whose pipe is done and settle its attempt: a clean exit
+    // hands its bytes to the completion step, anything else is classified.
+    const auto reap = [&](RunningWorker& worker) {
+      ::close(worker.fd);
+      int status = 0;
+      ::pid_t r = 0;
+      do {
+        r = ::waitpid(worker.pid, &status, 0);
+      } while (r < 0 && errno == EINTR);
+      if (r != worker.pid) {
+        // Lost track of the child (should not happen); classify as exit.
+        UnitOutcome outcome;
+        outcome.kind = UnitOutcomeKind::kExit;
+        outcome.attempts = worker.attempt.attempt;
+        outcome.detail = "waitpid failed";
+        settle(worker.attempt, outcome);
+      } else if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
+        // Clean completion wins even when the watchdog's TERM raced it: the
+        // bytes validate or they don't.
+        complete(worker.attempt, worker.bytes);
+      } else {
+        settle(worker.attempt, classify_worker_death(status, worker));
+      }
     };
 
     while (!pending.empty() || !running.empty()) {
       while (!pending.empty() && running.size() < jobs) spawn_next();
+      if (running.empty()) continue;  // every spawn failed and settled
 
-      bool reaped = false;
-      for (std::size_t w = 0; w < running.size();) {
-        RunningWorker& worker = running[w];
-        int status = 0;
-        const pid_t r = ::waitpid(worker.pid, &status, WNOHANG);
-        if (r == worker.pid) {
-          std::optional<UnitPayload> payload;
-          UnitOutcome outcome = classify_worker_death(
-              status, worker, paths_for(worker.unit_index), payload);
-          if (outcome.kind == UnitOutcomeKind::kOk && payload) {
-            UnitReport& report = result.units[worker.unit_index];
-            adopt_payload(report, std::move(*payload), worker.attempt);
-            journal_outcome(worker.unit_index, report.outcome);
-            log_line(options, "done " + units[worker.unit_index].name + ": " +
-                                  describe(report.outcome));
+      // Sleep until a worker sends data or EOF, or the watchdog is due.
+      polled.clear();
+      for (const RunningWorker& w : running) {
+        polled.push_back(pollfd{w.fd, POLLIN, 0});
+      }
+      if (::poll(polled.data(), polled.size(), poll_timeout_ms(running)) > 0) {
+        std::size_t kept = 0;
+        for (std::size_t w = 0; w < running.size(); ++w) {
+          if (polled[w].revents != 0 && !receive(running[w])) {
+            reap(running[w]);
           } else {
-            settle(worker.unit_index, worker.attempt, engine_for(worker),
-                   outcome);
-          }
-          running.erase(running.begin() + static_cast<std::ptrdiff_t>(w));
-          reaped = true;
-          continue;
-        }
-        if (r < 0) {
-          // Lost track of the child (should not happen); classify as exit.
-          UnitOutcome outcome;
-          outcome.kind = UnitOutcomeKind::kExit;
-          outcome.attempts = worker.attempt;
-          outcome.detail = "waitpid failed";
-          settle(worker.unit_index, worker.attempt, engine_for(worker),
-                 outcome);
-          running.erase(running.begin() + static_cast<std::ptrdiff_t>(w));
-          reaped = true;
-          continue;
-        }
-
-        // Still running: watchdog.
-        if (options.unit_timeout_ms > 0) {
-          const auto elapsed =
-              std::chrono::duration_cast<std::chrono::milliseconds>(
-                  Clock::now() - worker.start)
-                  .count();
-          if (!worker.term_sent &&
-              elapsed >=
-                  static_cast<std::int64_t>(options.unit_timeout_ms)) {
-            worker.term_sent = true;
-            worker.timed_out = true;
-            worker.term_time = Clock::now();
-            ::kill(worker.pid, SIGTERM);
-            log_line(options, "timeout " + units[worker.unit_index].name +
-                                  " (SIGTERM)");
-          } else if (worker.term_sent) {
-            const auto grace =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    Clock::now() - worker.term_time)
-                    .count();
-            if (grace >= static_cast<std::int64_t>(options.term_grace_ms)) {
-              ::kill(worker.pid, SIGKILL);
-            }
+            if (kept != w) running[kept] = std::move(running[w]);
+            ++kept;
           }
         }
-        ++w;
+        running.resize(kept);
       }
 
-      if (!reaped) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      // Watchdog: SIGTERM at the unit budget, SIGKILL a grace period later.
+      const Clock::time_point now = Clock::now();
+      for (RunningWorker& worker : running) {
+        if (now < worker.deadline) continue;
+        if (!worker.timed_out) {
+          worker.timed_out = true;
+          worker.deadline = now + grace;
+          ::kill(worker.pid, SIGTERM);
+          log_line(options, "timeout " +
+                                units[worker.attempt.unit_index].name +
+                                " (SIGTERM)");
+        } else {
+          worker.deadline = Clock::time_point::max();
+          ::kill(worker.pid, SIGKILL);
+        }
       }
     }
-#endif  // PSA_DRIVER_HAS_FORK
   } else {
-    // In-process fallback: same outcome taxonomy and checkpoint protocol,
-    // but exceptions are the only failures it can contain — a hard crash or
+    // In-process: same outcome taxonomy and checkpoint protocol, but
+    // exceptions are the only failures it can contain — a hard crash or
     // hang takes the batch with it (which is why isolation is the default).
     // No fault injection here: the hook is worker-only by contract.
     while (!pending.empty()) {
       const PendingAttempt next = pending.front();
       pending.pop_front();
-      const AnalysisUnit& unit = units[next.unit_index];
-      const SnapshotPaths paths = paths_for(next.unit_index);
-      journal_attempt(next.unit_index, next.attempt);
-      log_line(options, (next.attempt > 1 ? "start (retry) " : "start ") +
-                            unit.name);
+      start_attempt(next);
       UnitOutcome outcome;
       outcome.attempts = next.attempt;
       try {
-        const std::string bytes = effective_runner(unit, next.engine);
-        if (!write_snapshot_file(paths.tmp, paths.final_path, bytes)) {
-          // The in-memory payload is adopted regardless; only a later
-          // --resume pays (it re-runs this unit). Sound, counted, noted.
-          ++result.io_degradations;
-          log_line(options,
-                   "snapshot degraded: " + unit.name + " not durable");
-        }
-        UnitPayload payload = deserialize_unit_payload(bytes);
-        UnitReport& report = result.units[next.unit_index];
-        adopt_payload(report, std::move(payload), next.attempt);
-        journal_outcome(next.unit_index, report.outcome);
-        log_line(options,
-                 "done " + unit.name + ": " + describe(report.outcome));
+        complete(next,
+                 effective_runner(units[next.unit_index], next.engine));
         continue;
       } catch (const std::bad_alloc&) {
         outcome.kind = UnitOutcomeKind::kOom;
         outcome.detail = "allocation failure";
-      } catch (const rsg::SnapshotError& e) {
-        outcome.kind = UnitOutcomeKind::kExit;
-        outcome.detail = e.what();
       } catch (const std::exception& e) {
         outcome.kind = UnitOutcomeKind::kExit;
         outcome.detail = e.what();
       }
-      settle(next.unit_index, next.attempt, next.engine, outcome);
+      settle(next, outcome);
     }
   }
 

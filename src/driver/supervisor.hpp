@@ -3,10 +3,12 @@
 // run_batch() analyzes a list of units so that NO single unit — pathological
 // input, analyzer defect, hang, or memory blow-up — can take down the batch:
 //
-//   * with isolation on (the default where fork() exists), every unit runs
-//     in its own forked worker process; the worker serializes its result
-//     (driver/payload.hpp) to a snapshot file and exits, and the supervisor
-//     validates and collects it;
+//   * with isolation on (the default), every unit runs in its own forked
+//     worker process; the worker writes its serialized result
+//     (driver/payload.hpp) to a pipe and exits. The supervisor poll()s the
+//     running workers' pipes, so it wakes only for result bytes, for a
+//     worker's EOF (then it reaps the worker with waitpid) or for the
+//     watchdog, and validates the bytes it received;
 //   * a wall-clock watchdog SIGTERMs a worker that exceeds the per-unit
 //     budget and SIGKILLs it after a grace period;
 //   * every worker death is classified into a structured UnitOutcome
@@ -14,11 +16,13 @@
 //   * a failed unit is retried ONCE at a stepped-down governor budget
 //     (stepped_down()); failing again quarantines it — the batch always
 //     completes with every other result intact;
-//   * with --checkpoint, attempts/outcomes are journaled and snapshots kept,
-//     so an interrupted batch resumes: finished units are served from disk,
-//     quarantined units replay their outcome, everything else re-runs;
-//   * without fork (or with isolation off), units run in-process through the
-//     exact same outcome/checkpoint/reporting machinery — exceptions are
+//   * with --checkpoint, attempts/outcomes are journaled and the supervisor
+//     writes each analyzed unit's snapshot before its outcome record, so an
+//     interrupted batch resumes: finished units are served from disk,
+//     quarantined units replay their outcome, everything else re-runs.
+//     Without --checkpoint nothing but the cache touches the disk;
+//   * with isolation off, units run in-process through the exact same
+//     completion/outcome/checkpoint/reporting machinery — exceptions are
 //     contained per unit, but hard crashes and hangs are not (the governor's
 //     deadline is the only watchdog there).
 //
@@ -61,7 +65,8 @@ using UnitRunner =
 /// a checksum-valid, deeply-deserializable entry skips the fixpoint and
 /// checkers entirely (the payload is re-issued under the current unit name
 /// with this run's metrics delta, so the batch report is byte-identical to a
-/// cold run); a corrupt or version-skewed entry is evicted, recomputed, and
+/// cold run, and with the cold run's wall time, visits, memory and fixpoint
+/// ops zeroed, so a warm run never reports the cold run's cost); a corrupt or version-skewed entry is evicted, recomputed, and
 /// stored back (counted as cache_self_heals). Cacheable results — converged,
 /// and not possibly shaped by a wall-clock deadline — are stored after a
 /// miss. Cache failures of any kind degrade to "no cache": they never fail
@@ -78,19 +83,17 @@ using UnitRunner =
 [[nodiscard]] analysis::Options stepped_down(const analysis::Options& options);
 
 struct BatchOptions {
-  /// Fork one sandboxed worker per unit. Auto-degrades (with a log line) to
-  /// the in-process path on platforms without fork.
+  /// Fork one sandboxed worker per unit.
   bool isolate = true;
   /// Concurrent workers (isolation only; the in-process path is serial).
   std::size_t jobs = 1;
-  /// Checkpoint directory; empty disables checkpointing (workers then write
-  /// their IPC snapshots to a private temp dir).
+  /// Checkpoint directory; empty disables checkpointing.
   std::string checkpoint_dir;
   /// Content-addressed result cache directory (cache/cache.hpp); empty
-  /// disables caching. Opened (and recovered: stray tmp files swept, corrupt
-  /// entries quarantined) once at batch start; each worker then looks its
-  /// unit up after the frontend and skips the fixpoint on a validated hit.
-  /// Only the default runner consults the cache.
+  /// disables caching. Opened once at batch start (stray tmp files of dead
+  /// writers are deleted); each worker then looks its unit up after the
+  /// frontend and skips the fixpoint on a validated hit. Only the default
+  /// runner consults the cache.
   std::string cache_dir;
   /// Bounded-cache policy (cache::ResultCache::SweepLimits semantics): when
   /// either is non-zero the cache is swept after the batch completes — age
@@ -126,12 +129,12 @@ struct UnitReport {
 
 struct BatchResult {
   std::vector<UnitReport> units;  // input order
-  /// Whether workers were actually process-isolated.
+  /// Whether workers were process-isolated (BatchOptions::isolate).
   bool isolated = false;
   /// Supervisor-side durable-I/O failures absorbed as sound degradations: a
-  /// checkpoint journal record that did not land (the unit merely re-runs on
-  /// resume), an in-process snapshot that could not be written, a cache
-  /// directory that could not be opened (the batch runs uncached). Rendered
+  /// checkpoint journal record or snapshot that did not land (the unit
+  /// merely re-runs on resume), a cache directory that could not be opened
+  /// (the batch runs uncached). Rendered
   /// as a trailing "io degradations: N" report line when non-zero — the
   /// degradation note the resilience contract promises. Worker-side io
   /// failures surface through unit outcomes instead.
@@ -146,9 +149,6 @@ struct BatchResult {
   [[nodiscard]] std::size_t from_checkpoint_count() const;
   [[nodiscard]] std::size_t finding_count() const;
 };
-
-/// True when this build/platform can fork sandboxed workers.
-[[nodiscard]] bool isolation_supported() noexcept;
 
 /// Run the batch. Never throws for per-unit failures; throws
 /// std::runtime_error only for batch-level setup failures (an uncreatable

@@ -34,13 +34,13 @@ struct AnalysisUnit {
 /// How a unit ended. The supervisor classifies every worker death; the
 /// in-process fallback maps its failure modes onto the same taxonomy.
 enum class UnitOutcomeKind : std::uint8_t {
-  /// Worker completed and its result snapshot validated.
+  /// Worker completed and its result bytes validated.
   kOk = 0,
   /// The frontend rejected the source — deterministic, never retried.
   kFrontendError = 1,
   /// Worker exited with an unexpected nonzero code (includes a top-level
-  /// uncaught exception, and a clean exit whose snapshot failed to
-  /// validate).
+  /// uncaught exception), or exited cleanly with result bytes that failed
+  /// to validate ("clean exit but ...", exit code 0).
   kExit = 2,
   /// Worker was killed by a signal it raised itself (SIGSEGV, SIGABRT, ...).
   kCrash = 3,
@@ -52,7 +52,7 @@ enum class UnitOutcomeKind : std::uint8_t {
   kOom = 5,
   /// Worker completed in salvage mode with a degraded frontend: some
   /// declarations were stubbed out and/or unsupported constructs were
-  /// lowered to havoc. The result snapshot validated and findings are
+  /// lowered to havoc. The result bytes validated and findings are
   /// usable, but confidence-tainted (see docs/RESILIENCE.md).
   kPartial = 6,
 };

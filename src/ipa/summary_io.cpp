@@ -1,6 +1,7 @@
 #include "ipa/summary_io.hpp"
 
 #include "rsg/serialize.hpp"
+#include "support/hash.hpp"
 
 namespace psa::ipa {
 
@@ -96,7 +97,7 @@ std::uint64_t summary_hash(const FunctionSummary& summary,
                            const support::Interner& interner) {
   rsg::ByteWriter out;
   write_summary_body(out, summary, interner);
-  return rsg::snapshot_checksum(out.bytes());
+  return support::fnv1a(out.bytes());
 }
 
 }  // namespace psa::ipa

@@ -1,33 +1,11 @@
 // COMPRESS (§3.1): summarization of C_NODES_RSG-compatible nodes.
-#include <numeric>
-
 #include "rsg/ops.hpp"
 #include "support/metrics.hpp"
+#include "support/union_find.hpp"
 
 namespace psa::rsg {
 
 namespace {
-
-struct UnionFind {
-  explicit UnionFind(std::size_t n) : parent(n) {
-    std::iota(parent.begin(), parent.end(), NodeRef{0});
-  }
-  NodeRef find(NodeRef a) {
-    while (parent[a] != a) {
-      parent[a] = parent[parent[a]];
-      a = parent[a];
-    }
-    return a;
-  }
-  void unite(NodeRef a, NodeRef b) {
-    a = find(a);
-    b = find(b);
-    if (a == b) return;
-    if (a > b) std::swap(a, b);
-    parent[b] = a;
-  }
-  std::vector<NodeRef> parent;
-};
 
 /// One summarization sweep; returns true when something was merged.
 bool compress_once(Rsg& g, const LevelPolicy& policy) {
@@ -35,7 +13,7 @@ bool compress_once(Rsg& g, const LevelPolicy& policy) {
   if (refs.size() < 2) return false;
 
   const auto ctx = compute_compat_contexts(g);
-  UnionFind uf(g.node_capacity());
+  support::UnionFind uf(g.node_capacity());
   bool any = false;
   for (std::size_t i = 0; i < refs.size(); ++i) {
     for (std::size_t j = i + 1; j < refs.size(); ++j) {
@@ -121,7 +99,7 @@ void coarsen(Rsg& g, const LevelPolicy& policy) {
   // identity (and their cardinality-one invariant: a pvar references exactly
   // one node); keeping the sharing bits in the key preserves the SHSEL
   // distinctions the paper's Fig. 3 conclusions rest on.
-  UnionFind uf(g.node_capacity());
+  support::UnionFind uf(g.node_capacity());
   for (std::size_t i = 0; i < refs.size(); ++i) {
     for (std::size_t j = i + 1; j < refs.size(); ++j) {
       const NodeRef a = refs[i];

@@ -1,8 +1,7 @@
 // COMPATIBLE / ALIAS / JOIN (§4, §4.3).
-#include <numeric>
-
 #include "rsg/ops.hpp"
 #include "support/metrics.hpp"
+#include "support/union_find.hpp"
 
 namespace psa::rsg {
 
@@ -47,31 +46,6 @@ bool compatible(const Rsg& a, const Rsg& b, const LevelPolicy& policy) {
 
 namespace {
 
-struct UnionFind {
-  explicit UnionFind(std::size_t n) : parent(n) {
-    std::iota(parent.begin(), parent.end(), std::size_t{0});
-  }
-  std::size_t find(std::size_t a) {
-    while (parent[a] != a) {
-      parent[a] = parent[parent[a]];
-      a = parent[a];
-    }
-    return a;
-  }
-  void unite(std::size_t a, std::size_t b) {
-    a = find(a);
-    b = find(b);
-    if (a == b) return;
-    if (a > b) std::swap(a, b);
-    parent[b] = a;
-  }
-  std::vector<std::size_t> parent;
-};
-
-}  // namespace
-
-namespace {
-
 Rsg join_impl(const Rsg& a, const Rsg& b, const LevelPolicy& policy,
               bool force) {
   const auto refs_a = a.node_refs();
@@ -80,7 +54,7 @@ Rsg join_impl(const Rsg& a, const Rsg& b, const LevelPolicy& policy,
   const auto ctx_b = compute_compat_contexts(b);
 
   // Combined index space: [0, |A|) for a's nodes, [|A|, |A|+|B|) for b's.
-  UnionFind uf(refs_a.size() + refs_b.size());
+  support::UnionFind uf(refs_a.size() + refs_b.size());
   for (std::size_t i = 0; i < refs_a.size(); ++i) {
     for (std::size_t j = 0; j < refs_b.size(); ++j) {
       const NodeRef na = refs_a[i];

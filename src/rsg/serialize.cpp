@@ -7,12 +7,14 @@
 #include <utility>
 #include <vector>
 
+#include "support/hash.hpp"
+
 namespace psa::rsg {
 
 namespace {
 
 constexpr char kMagic[8] = {'P', 'S', 'A', 'S', 'N', 'A', 'P', '1'};
-constexpr std::size_t kHeaderSize = 8 + 4 + 4 + 8 + 8;
+static_assert(kSnapshotHeaderSize == 8 + 4 + 4 + 8 + 8);
 
 /// Hard cap on any element count: well above every real workload, well below
 /// anything that could make a corrupted count allocate gigabytes.
@@ -109,33 +111,39 @@ void ByteReader::expect_end(const char* what) const {
 
 // --- Envelope ----------------------------------------------------------------
 
-std::uint64_t snapshot_checksum(std::string_view bytes) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a 64
-  for (const char c : bytes) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 std::string wrap_snapshot(std::string payload) {
   std::string out(kMagic, sizeof(kMagic));
   ByteWriter w;
   w.u32(kSnapshotVersion);
   w.u32(0);  // flags
   w.u64(payload.size());
-  w.u64(snapshot_checksum(payload));
+  w.u64(support::fnv1a(payload));
   out += w.bytes();
   out += payload;
   return out;
 }
 
+std::uint64_t declared_snapshot_size(std::string_view bytes) noexcept {
+  if (bytes.size() < kSnapshotHeaderSize ||
+      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
+    return 0;
+  }
+  ByteReader r(bytes.substr(16, 8));
+  const std::uint64_t size = r.u64("payload size");
+  return kSnapshotHeaderSize +
+         std::min(size, std::numeric_limits<std::uint64_t>::max() -
+                            kSnapshotHeaderSize);
+}
+
 std::string_view unwrap_snapshot(std::string_view bytes) {
-  if (bytes.size() < kHeaderSize) throw SnapshotError("truncated header");
+  if (bytes.size() < kSnapshotHeaderSize) {
+    throw SnapshotError("truncated header");
+  }
   if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     throw SnapshotError("bad magic");
   }
-  ByteReader r(bytes.substr(sizeof(kMagic), kHeaderSize - sizeof(kMagic)));
+  ByteReader r(
+      bytes.substr(sizeof(kMagic), kSnapshotHeaderSize - sizeof(kMagic)));
   const std::uint32_t version = r.u32("version");
   if (version != kSnapshotVersion) {
     throw SnapshotError("unsupported version " + std::to_string(version) +
@@ -149,13 +157,13 @@ std::string_view unwrap_snapshot(std::string_view bytes) {
   }
   const std::uint64_t size = r.u64("payload size");
   const std::uint64_t checksum = r.u64("checksum");
-  const std::string_view payload = bytes.substr(kHeaderSize);
+  const std::string_view payload = bytes.substr(kSnapshotHeaderSize);
   if (payload.size() != size) {
     throw SnapshotError("payload size mismatch (header says " +
                         std::to_string(size) + ", got " +
                         std::to_string(payload.size()) + ")");
   }
-  if (snapshot_checksum(payload) != checksum) {
+  if (support::fnv1a(payload) != checksum) {
     throw SnapshotError("checksum mismatch");
   }
   return payload;

@@ -14,6 +14,7 @@
 //   12      4     flags (reserved, 0)
 //   16      8     payload size in bytes (little-endian u64)
 //   24      8     FNV-1a 64-bit checksum of the payload bytes
+//                 (support::fnv1a)
 //   32      n     payload
 //
 // Payloads are built from little-endian fixed-width integers, length-
@@ -120,8 +121,15 @@ class ByteReader {
 
 // --- Envelope ----------------------------------------------------------------
 
-/// FNV-1a 64-bit over `bytes` (the envelope checksum).
-[[nodiscard]] std::uint64_t snapshot_checksum(std::string_view bytes) noexcept;
+/// Size of the header every envelope starts with.
+inline constexpr std::size_t kSnapshotHeaderSize = 32;
+
+/// The whole envelope size (header + payload) that the header at the front
+/// of `bytes` declares, or 0 when `bytes` holds less than a header or does
+/// not start with the magic. Untrusted: a reader may size a buffer from it
+/// (capped), but only unwrap_snapshot() validates.
+[[nodiscard]] std::uint64_t declared_snapshot_size(
+    std::string_view bytes) noexcept;
 
 /// Wrap a payload in the magic/version/size/checksum envelope.
 [[nodiscard]] std::string wrap_snapshot(std::string payload);

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string_view>
 #include <type_traits>
 
 namespace psa::support {
@@ -41,6 +42,20 @@ template <typename T>
     static_assert(std::is_integral_v<T>);
     return mix64(static_cast<std::uint64_t>(v));
   }
+}
+
+/// FNV-1a 64 over `bytes`, from `basis` (default: the standard offset
+/// basis). It is persisted: snapshot envelope checksums, cache keys and
+/// checkpoint unit keys are all FNV-1a values, so it must never change.
+[[nodiscard]] constexpr std::uint64_t fnv1a(
+    std::string_view bytes,
+    std::uint64_t basis = 0xcbf29ce484222325ULL) noexcept {
+  std::uint64_t h = basis;
+  for (const char c : bytes) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 /// Hash a range of hashable elements, order-sensitively.

@@ -5,20 +5,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <new>
 
-#include "support/metrics.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#define PSA_IO_POSIX 1
-#else
-#define PSA_IO_POSIX 0
-#endif
+
+#include "support/metrics.hpp"
 
 namespace psa::support::io {
 
@@ -32,7 +26,6 @@ namespace {
 /// deterministic op stream rests on. ensure_initialized() forces creation in
 /// the parent before the first fork.
 std::atomic<std::uint64_t>* op_counter() {
-#if PSA_IO_POSIX
   static std::atomic<std::uint64_t>* counter = [] {
     void* mem =
         ::mmap(nullptr, sizeof(std::atomic<std::uint64_t>),
@@ -46,10 +39,6 @@ std::atomic<std::uint64_t>* op_counter() {
     return new (mem) std::atomic<std::uint64_t>{0};
   }();
   return counter;
-#else
-  static std::atomic<std::uint64_t> local{0};
-  return &local;
-#endif
 }
 
 std::uint64_t next_op() {
@@ -124,15 +113,10 @@ void trace_op(std::uint64_t op, const char* what, const std::string& path,
                      ' ' + std::to_string(bytes) + ' ' +
                      (result.ok ? "ok" : "error") +
                      (fault != FaultKind::kNone ? " faulted" : "") + '\n';
-#if PSA_IO_POSIX
   const int fd = ::open(file, O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
   if (fd < 0) return;
   (void)!::write(fd, line.data(), line.size());
   ::close(fd);
-#else
-  std::ofstream out(file, std::ios::app | std::ios::binary);
-  out << line;
-#endif
 }
 
 IoResult fail(std::string message) {
@@ -145,21 +129,6 @@ IoResult fail(std::string message) {
 /// Die like a power cut: the completed op is durable, everything buffered
 /// anywhere else in the process is lost. _Exit skips atexit/flush on purpose.
 [[noreturn]] void crash_now() { std::_Exit(kCrashExitCode); }
-
-#if PSA_IO_POSIX
-
-bool write_all(int fd, const char* data, std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ::ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 /// fsync the directory holding `path`, making a completed rename durable.
 /// Best effort: some filesystems refuse directory fsync, and the rename
@@ -187,7 +156,7 @@ IoResult atomic_write_impl(const std::string& tmp,
   }
   const std::size_t to_write =
       fault == FaultKind::kShortWrite ? bytes.size() / 2 : bytes.size();
-  if (!write_all(fd, bytes.data(), to_write)) {
+  if (!write_all(fd, bytes.substr(0, to_write))) {
     const int err = errno;
     ::close(fd);
     // The torn tmp stays behind: that is exactly the straggler the callers'
@@ -241,7 +210,7 @@ IoResult checked_append_impl(const std::string& path, std::string_view record,
   }
   const std::size_t to_write =
       fault == FaultKind::kShortWrite ? record.size() / 2 : record.size();
-  if (!write_all(fd, record.data(), to_write)) {
+  if (!write_all(fd, record.substr(0, to_write))) {
     const int err = errno;
     ::close(fd);
     return fail("append " + path + ": " + std::strerror(err));
@@ -279,87 +248,21 @@ IoResult checked_rename_impl(const std::string& from, const std::string& to,
   return {};
 }
 
-#else  // !PSA_IO_POSIX
-
-// Portability fallback: correct rename-through-tmp semantics, no fsync
-// durability (the platform gives us no portable handle-level sync). The
-// fault kinds keep their observable behavior so tests stay meaningful.
-
-IoResult atomic_write_impl(const std::string& tmp,
-                           const std::string& final_path,
-                           std::string_view bytes, FaultKind fault) {
-  if (fault == FaultKind::kEnospc) {
-    return fail("injected ENOSPC: no bytes written to " + tmp);
-  }
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return fail("open " + tmp);
-    const std::size_t to_write =
-        fault == FaultKind::kShortWrite ? bytes.size() / 2 : bytes.size();
-    out.write(bytes.data(), static_cast<std::streamsize>(to_write));
-    if (!out) return fail("write " + tmp);
-  }
-  if (fault == FaultKind::kShortWrite) {
-    return fail("injected short write to " + tmp);
-  }
-  if (fault == FaultKind::kEio) {
-    std::error_code ec;
-    fs::remove(tmp, ec);
-    return fail("injected EIO: fsync failed for " + tmp);
-  }
-  if (fault == FaultKind::kTornRename) {
-    return fail("injected torn rename: " + tmp + " not renamed to " +
-                final_path);
-  }
-  std::error_code ec;
-  fs::rename(tmp, final_path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return fail("rename " + tmp + " -> " + final_path);
-  }
-  return {};
-}
-
-IoResult checked_append_impl(const std::string& path, std::string_view record,
-                             FaultKind fault) {
-  if (fault == FaultKind::kEnospc) {
-    return fail("injected ENOSPC: record not appended to " + path);
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::app);
-  if (!out) return fail("open " + path);
-  const std::size_t to_write =
-      fault == FaultKind::kShortWrite ? record.size() / 2 : record.size();
-  out.write(record.data(), static_cast<std::streamsize>(to_write));
-  out.flush();
-  if (!out) return fail("append " + path);
-  if (fault == FaultKind::kShortWrite) {
-    return fail("injected short write: torn record in " + path);
-  }
-  if (fault == FaultKind::kEio) {
-    return fail("injected EIO: record in " + path + " not known durable");
-  }
-  return {};
-}
-
-IoResult checked_rename_impl(const std::string& from, const std::string& to,
-                             FaultKind fault) {
-  if (fault == FaultKind::kEnospc || fault == FaultKind::kEio) {
-    return fail("injected rename failure: " + from + " -> " + to);
-  }
-  if (fault == FaultKind::kTornRename) {
-    return fail("injected torn rename: " + from + " not renamed to " + to);
-  }
-  std::error_code ec;
-  fs::rename(from, to, ec);
-  if (ec) return fail("rename " + from + " -> " + to);
-  return {};
-}
-
-#endif  // PSA_IO_POSIX
-
 }  // namespace
 
 void ensure_initialized() { (void)op_counter(); }
+
+bool write_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ::ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
 
 std::uint64_t ops_issued() {
   return op_counter()->load(std::memory_order_relaxed);

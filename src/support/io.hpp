@@ -100,4 +100,10 @@ void ensure_initialized();
 [[nodiscard]] IoResult checked_rename(const std::string& from,
                                       const std::string& to);
 
+/// Write every byte of `bytes` to `fd`, resuming after short writes and
+/// EINTR. False on any other error. Not a durable op: it takes no op
+/// number, is never faulted or traced, and does not fsync (the batch
+/// worker's result pipe uses it).
+[[nodiscard]] bool write_all(int fd, std::string_view bytes);
+
 }  // namespace psa::support::io

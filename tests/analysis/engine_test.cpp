@@ -166,7 +166,6 @@ TEST(EngineTest, StatusToString) {
   EXPECT_EQ(to_string(AnalysisStatus::kIterationLimit), "iteration limit");
   EXPECT_EQ(to_string(AnalysisStatus::kSetLimit), "RSRSG size limit");
   EXPECT_EQ(to_string(AnalysisStatus::kDeadline), "deadline expired");
-  EXPECT_EQ(to_string(AnalysisStatus::kCancelled), "cancelled");
 }
 
 TEST(EngineTest, AllLevelsConvergeOnSmallPrograms) {

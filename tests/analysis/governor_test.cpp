@@ -2,13 +2,11 @@
 // pathological extreme on the Fig. 1 doubly-linked-list program and check
 // that the degraded fixpoint is (a) still a fixpoint — kConverged — with the
 // right DegradationReport, and (b) still *sound* against the concrete-
-// interpreter oracle. Plus deadline/cancellation behavior and the legacy
-// hard-fail policy.
+// interpreter oracle. Plus deadline behavior and the legacy hard-fail
+// policy.
 #include "analysis/governor.hpp"
 
 #include <gtest/gtest.h>
-
-#include <thread>
 
 #include "analysis/analyzer.hpp"
 #include "corpus/corpus.hpp"
@@ -142,35 +140,6 @@ TEST(GovernorTest, DeadlineHardFailStopsWithoutDraining) {
   options.budget_policy = BudgetPolicy::kHardFail;
   const auto result = analyze_program(program, options);
   EXPECT_EQ(result.status, AnalysisStatus::kDeadline);
-  EXPECT_FALSE(result.degradation.deadline_drain);
-  EXPECT_LT(result.seconds, 2.0);
-}
-
-TEST(GovernorTest, PreCancelledTokenStopsImmediately) {
-  const auto program = prepare(dll().source);
-  CancelToken token;
-  token.cancel();
-  Options options;
-  options.cancel = &token;
-  const auto result = analyze_program(program, options);
-  EXPECT_EQ(result.status, AnalysisStatus::kCancelled);
-  EXPECT_EQ(result.node_visits, 0u);
-}
-
-TEST(GovernorTest, CancellationFromAnotherThreadStopsRun) {
-  const auto program = prepare(corpus::barnes_hut().source);
-  CancelToken token;
-  Options options;
-  options.level = rsg::AnalysisLevel::kL3;
-  options.cancel = &token;
-  std::thread canceller([&token] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    token.cancel();
-  });
-  const auto result = analyze_program(program, options);
-  canceller.join();
-  // Cancellation never drains: the caller asked for the run to end.
-  EXPECT_EQ(result.status, AnalysisStatus::kCancelled);
   EXPECT_FALSE(result.degradation.deadline_drain);
   EXPECT_LT(result.seconds, 2.0);
 }

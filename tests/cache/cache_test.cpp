@@ -302,21 +302,26 @@ TEST_F(ResultCacheTest, RecoverSweepsTmpAndQuarantinesCorruptEntries) {
     bad << "not a PSASNAP1 envelope";
   }
 
+  // recover() deletes only the tmp straggler: it reads no entry, so the
+  // corrupt one is still on disk afterwards.
   ResultCache reopened(dir_);
-  const ResultCache::RecoveryReport report = reopened.recover();
-  EXPECT_EQ(report.entries_kept, 1u);
-  EXPECT_EQ(report.tmp_removed, 1u);
-  EXPECT_EQ(report.quarantined, 1u);
-  EXPECT_FALSE(report.clean());
+  const std::string bad_path = reopened.entry_path(key_of(kSourceB));
+  EXPECT_EQ(reopened.recover(), 1u);
+  EXPECT_TRUE(fs::exists(bad_path));
+  EXPECT_EQ(reopened.recover(), 0u);
 
-  // The surviving entry still serves; the damage is gone.
-  EXPECT_EQ(reopened.lookup(good_key).status,
-            ResultCache::Lookup::Status::kHit);
+  // The first lookup that reads the corrupt entry quarantines it, and it is
+  // never served; the next lookup is a clean miss. The good entry serves.
+  support::MetricsRegion region;
+  EXPECT_EQ(reopened.lookup(key_of(kSourceB)).status,
+            ResultCache::Lookup::Status::kEvicted);
+  EXPECT_EQ(region.delta()[support::Counter::kCacheEvictions], 1u);
+  EXPECT_FALSE(fs::exists(bad_path));
+  EXPECT_FALSE(fs::is_empty(fs::path(dir_) / "quarantine"));
   EXPECT_EQ(reopened.lookup(key_of(kSourceB)).status,
             ResultCache::Lookup::Status::kMiss);
-  const ResultCache::RecoveryReport second = reopened.recover();
-  EXPECT_TRUE(second.clean());
-  EXPECT_EQ(second.entries_kept, 1u);
+  EXPECT_EQ(reopened.lookup(good_key).status,
+            ResultCache::Lookup::Status::kHit);
 }
 
 // ---------------------------------------------------------------------------
@@ -564,10 +569,21 @@ TEST_F(SweepTest, WritersAndSweeperShareTheDirectorySafely) {
   // The churn must not have destroyed everything or validated nothing.
   EXPECT_GT(hits, 0u);
   // And the directory is structurally clean: no .tmp stragglers, and every
-  // surviving entry passes the startup scan.
-  const ResultCache::RecoveryReport recovery = reader.recover();
-  EXPECT_EQ(recovery.tmp_removed, 0u);
-  EXPECT_EQ(recovery.quarantined, 0u);
+  // surviving .entry looks up as a hit.
+  EXPECT_EQ(reader.recover(), 0u);
+  std::size_t surviving = 0;
+  for (std::uint64_t n = 0; n < kKeys; ++n) {
+    if (!fs::exists(reader.entry_path(synthetic_key(n)))) continue;
+    ++surviving;
+    EXPECT_EQ(reader.lookup(synthetic_key(n)).status,
+              ResultCache::Lookup::Status::kHit)
+        << "key " << n;
+  }
+  std::size_t on_disk = 0;
+  for (const auto& e : fs::directory_iterator(dir_)) {
+    on_disk += e.path().extension() == ".entry" ? 1 : 0;
+  }
+  EXPECT_EQ(surviving, on_disk);
 }
 
 // ---------------------------------------------------------------------------
@@ -662,8 +678,9 @@ TEST_F(WarmCacheTest, CorruptEntrySelfHealsWithIdenticalReport) {
   support::MetricsRegion region;
   const driver::BatchResult healed = driver::run_batch(units, cached_options());
   const support::MetricsSnapshot delta = region.delta();
-  // The startup recover() scan quarantines the rotten entry before any unit
-  // runs, so the unit sees a clean miss and recomputes.
+  // The unit's own lookup reads the rotten entry, quarantines it and counts
+  // the miss; the intact function-tier entry then serves the result, which
+  // is promoted back to the unit key.
   EXPECT_EQ(delta[support::Counter::kCacheEvictions], 1u);
   EXPECT_EQ(delta[support::Counter::kCacheHits], 0u);
   EXPECT_EQ(delta[support::Counter::kCacheMisses], 1u);
@@ -677,9 +694,9 @@ TEST_F(WarmCacheTest, CorruptEntrySelfHealsWithIdenticalReport) {
 }
 
 TEST_F(WarmCacheTest, MidRunCorruptionSelfHealsAtTheLookup) {
-  // Corruption that appears AFTER the startup scan (rot during a long
-  // batch, or under another batch sharing the directory): the worker's own
-  // lookup evicts it and recomputes — that is what cache_self_heals counts.
+  // Corruption that appears while a batch runs (rot during a long batch, or
+  // under another batch sharing the directory): the worker's own lookup
+  // evicts it and recomputes — that is what cache_self_heals counts.
   driver::AnalysisUnit unit = inline_unit("a.c", kSourceA);
   ResultCache cache(dir_);
   const std::string cold =
@@ -840,9 +857,9 @@ TEST_F(IoFaultCacheTest, StoreUnderShortWriteNeverLeavesATornEntry) {
 
   // The torn tmp is junk awaiting the startup recovery sweep.
   ResultCache reopened(dir_);
-  const ResultCache::RecoveryReport report = reopened.recover();
-  EXPECT_EQ(report.tmp_removed, 1u);
-  EXPECT_EQ(report.quarantined, 0u);
+  EXPECT_EQ(reopened.recover(), 1u);
+  EXPECT_TRUE(!fs::exists(fs::path(dir_) / "quarantine") ||
+              fs::is_empty(fs::path(dir_) / "quarantine"));
   ASSERT_TRUE(reopened.store(key, real_payload_bytes()));
   EXPECT_EQ(reopened.lookup(key).status, ResultCache::Lookup::Status::kHit);
 }

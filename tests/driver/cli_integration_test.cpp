@@ -322,6 +322,44 @@ TEST_F(CliTest, MetricsAggregateEqualsSumInBothIsolateModes) {
   }
 }
 
+TEST_F(CliTest, WarmCacheRunReportsNoRecordedCost) {
+  // A unit served from the cache ran no fixpoint, so its metrics record —
+  // and the aggregate — must not replay the cold run's wall time, visits or
+  // peak memory, while the report stays the cold run's byte for byte.
+  const std::string args =
+      "--corpus --check --isolate --jobs=2 --cache-dir=" + path_in("cache");
+  const std::string cold_path = path_in("cold.jsonl");
+  const std::string warm_path = path_in("warm.jsonl");
+  const RunResult cold = run_cli(args + " --metrics-out=" + cold_path, "");
+  const RunResult warm = run_cli(args + " --metrics-out=" + warm_path, "");
+  EXPECT_EQ(warm.exit_code, cold.exit_code);
+  EXPECT_EQ(warm.stdout_text, cold.stdout_text);
+
+  const MetricsFile cold_file = read_metrics_file(cold_path);
+  ASSERT_TRUE(cold_file.ok);
+  EXPECT_GT(cold_file.aggregate.num("node_visits"), 0);
+
+  const MetricsFile file = read_metrics_file(warm_path);
+  ASSERT_TRUE(file.ok);
+  ASSERT_EQ(file.units.size(), cold_file.units.size());
+  std::vector<const testing::JsonValue*> records;
+  for (const testing::JsonValue& unit : file.units) {
+    EXPECT_EQ(ops_value(unit, "cache_hits"), 1) << unit.str("unit");
+    records.push_back(&unit);
+  }
+  records.push_back(&file.aggregate);
+  for (const testing::JsonValue* record : records) {
+    const std::string name = record->str("unit");
+    EXPECT_EQ(record->num("node_visits"), 0) << name;
+    EXPECT_EQ(record->num("wall_seconds"), 0) << name;
+    const testing::JsonValue* memory = record->find("memory");
+    ASSERT_NE(memory, nullptr) << name;
+    EXPECT_EQ(memory->num("peak_bytes"), 0) << name;
+  }
+  EXPECT_EQ(ops_value(file.aggregate, "cache_hits"),
+            static_cast<double>(file.units.size()));
+}
+
 TEST_F(CliTest, MetricsOutWorksInDetailedMode) {
   const std::string file = write_file("clean.c", kCleanSource);
   const std::string path = path_in("detailed.jsonl");

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <new>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -47,13 +48,27 @@ BatchOptions quiet_options() {
   return options;
 }
 
-/// Scoped PSA_FAULT_AT (the worker-side injection knob).
-class ScopedFaultEnv {
+/// Sets an environment variable (PSA_FAULT_AT, PSA_IO_TRACE, TMPDIR, ...)
+/// for one scope and restores its previous value.
+class ScopedEnv {
  public:
-  explicit ScopedFaultEnv(const std::string& spec) {
-    ::setenv("PSA_FAULT_AT", spec.c_str(), 1);
+  ScopedEnv(const char* name, const std::string& value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value.c_str(), 1);
   }
-  ~ScopedFaultEnv() { ::unsetenv("PSA_FAULT_AT"); }
+  ~ScopedEnv() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
 };
 
 TEST(SteppedDownTest, HalvesBudgetsWithFloors) {
@@ -168,7 +183,7 @@ TEST(InProcessBatch, BadAllocClassifiesAsOom) {
 TEST(InProcessBatch, FaultEnvIsIgnoredOutsideWorkers) {
   // The PSA_FAULT_AT hook is worker-only by contract: the in-process path
   // must analyze normally even with a fault armed for its unit.
-  const ScopedFaultEnv env("safe:crash");
+  const ScopedEnv env("PSA_FAULT_AT", "safe:crash");
   const BatchResult result =
       run_batch({inline_unit("safe")}, quiet_options());
   EXPECT_EQ(result.units[0].outcome.kind, UnitOutcomeKind::kOk);
@@ -369,16 +384,7 @@ TEST_F(CheckpointedBatch, CorruptSnapshotForcesCleanReRun) {
 
 // --- Isolation (fork) path ---------------------------------------------------
 
-class IsolatedBatch : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!isolation_supported()) {
-      GTEST_SKIP() << "no fork() on this platform";
-    }
-  }
-};
-
-TEST_F(IsolatedBatch, RunsUnitsInWorkersAndCollectsPayloads) {
+TEST(IsolatedBatch, RunsUnitsInWorkersAndCollectsPayloads) {
   BatchOptions options;
   options.isolate = true;
   options.jobs = 2;
@@ -392,7 +398,7 @@ TEST_F(IsolatedBatch, RunsUnitsInWorkersAndCollectsPayloads) {
   }
 }
 
-TEST_F(IsolatedBatch, WorkerResultsMatchInProcessResults) {
+TEST(IsolatedBatch, WorkerResultsMatchInProcessResults) {
   const std::vector<AnalysisUnit> units = {inline_unit("a")};
   BatchOptions isolated;
   isolated.isolate = true;
@@ -413,7 +419,7 @@ TEST_F(IsolatedBatch, WorkerResultsMatchInProcessResults) {
 // exactly those three fail with the right classifications and get
 // quarantined after one retry, and every other unit's result is identical
 // to the fault-free run.
-TEST_F(IsolatedBatch, FaultInjectionProofOverCorpusUnits) {
+TEST(IsolatedBatch, FaultInjectionProofOverCorpusUnits) {
   // Light corpus units only (the heavy ones would dominate the clock).
   const std::vector<std::string> wanted = {"sll",   "dll",         "queue",
                                            "list_reverse", "binary_tree",
@@ -437,7 +443,7 @@ TEST_F(IsolatedBatch, FaultInjectionProofOverCorpusUnits) {
     ASSERT_EQ(u.outcome.kind, UnitOutcomeKind::kOk) << u.unit.name;
   }
 
-  const ScopedFaultEnv env("dll:crash,queue:oom,visit_marks:hang");
+  const ScopedEnv env("PSA_FAULT_AT", "dll:crash,queue:oom,visit_marks:hang");
   const BatchResult faulted = run_batch(units, options);
 
   ASSERT_EQ(faulted.units.size(), units.size());  // the batch completed
@@ -476,8 +482,8 @@ TEST_F(IsolatedBatch, FaultInjectionProofOverCorpusUnits) {
   EXPECT_EQ(batch_exit_code(faulted), kExitSomeUnitsFailed);
 }
 
-TEST_F(IsolatedBatch, UncaughtWorkerExceptionClassifiesAsExit) {
-  const ScopedFaultEnv env("u:throw");
+TEST(IsolatedBatch, UncaughtWorkerExceptionClassifiesAsExit) {
+  const ScopedEnv env("PSA_FAULT_AT", "u:throw");
   BatchOptions options;
   options.isolate = true;
   const BatchResult result = run_batch({inline_unit("u")}, options);
@@ -486,10 +492,89 @@ TEST_F(IsolatedBatch, UncaughtWorkerExceptionClassifiesAsExit) {
   EXPECT_TRUE(result.units[0].outcome.quarantined);
 }
 
-TEST_F(IsolatedBatch, HangWithoutWatchdogWouldBlock_SoWatchdogIsProvenHere) {
+TEST(IsolatedBatch, InvalidResultBytesAreACleanExitThenRetriedAndQuarantined) {
+  // A worker that exits 0 after writing bytes that fail validation is a
+  // failed attempt: classified exit (code 0) with the validator's reason.
+  BatchOptions options;
+  options.isolate = true;
+  const UnitRunner garbage = [](const AnalysisUnit&,
+                                const analysis::Options&) -> std::string {
+    return "not a PSASNAP1 envelope";
+  };
+  const BatchResult result = run_batch({inline_unit("u")}, options, garbage);
+  const UnitOutcome& outcome = result.units[0].outcome;
+  EXPECT_EQ(outcome.kind, UnitOutcomeKind::kExit);
+  EXPECT_EQ(outcome.exit_code, 0);
+  EXPECT_EQ(describe(outcome), "exit (code 0)");
+  EXPECT_EQ(outcome.detail.rfind("clean exit but snapshot: ", 0), 0u)
+      << outcome.detail;
+  EXPECT_EQ(outcome.attempts, 2);
+  EXPECT_TRUE(outcome.quarantined);
+  EXPECT_FALSE(result.units[0].payload.has_value());
+}
+
+TEST(IsolatedBatch, MultiMebibytePayloadsArriveIntactWithTwoJobs) {
+  // Two workers write results far larger than a pipe buffer at the same
+  // time; the supervisor must drain both pipes concurrently and receive
+  // every byte in order. A frontend-error payload carries its text in the
+  // outcome detail, which makes the comparison cheap.
+  const auto big_text = [](const std::string& name) {
+    std::string text(3u << 20, '\0');
+    for (std::size_t i = 0; i < text.size(); ++i) {
+      text[i] = static_cast<char>('a' + (i * 7 + name.size() * 3) % 26);
+    }
+    return name + ":" + text;
+  };
+  const UnitRunner runner = [&](const AnalysisUnit& unit,
+                                const analysis::Options&) {
+    UnitPayload payload;
+    payload.unit_name = unit.name;
+    payload.function = unit.function;
+    payload.frontend_ok = false;
+    payload.frontend_error = big_text(unit.name);
+    const support::Interner empty;
+    return serialize_unit_payload(payload, empty);
+  };
+  BatchOptions options;
+  options.isolate = true;
+  options.jobs = 2;
+  const BatchResult result =
+      run_batch({inline_unit("first"), inline_unit("second-unit")}, options,
+                runner);
+  ASSERT_EQ(result.units.size(), 2u);
+  for (const UnitReport& u : result.units) {
+    EXPECT_EQ(u.outcome.kind, UnitOutcomeKind::kFrontendError);
+    EXPECT_EQ(u.outcome.attempts, 1);
+    EXPECT_GE(u.outcome.detail.size(), 1u << 20);
+    EXPECT_TRUE(u.outcome.detail == big_text(u.unit.name)) << u.unit.name;
+  }
+}
+
+TEST(IsolatedBatch, WritesNothingToDiskWithoutCheckpointOrCache) {
+  // Worker results travel through pipes: a batch without --checkpoint and
+  // --cache-dir makes no durable write and leaves no scratch directory.
+  const fs::path tmp = fs::path(::testing::TempDir()) / "psa-isolated-tmpdir";
+  fs::remove_all(tmp);
+  fs::create_directories(tmp);
+  const std::string trace = (tmp / "io.trace").string();
+  BatchResult result;
+  {
+    const ScopedEnv tmpdir("TMPDIR", tmp.string());
+    const ScopedEnv traced("PSA_IO_TRACE", trace);
+    BatchOptions options;
+    options.isolate = true;
+    result = run_batch({inline_unit("a"), inline_unit("b")}, options);
+  }
+  EXPECT_EQ(batch_exit_code(result), kExitOk);
+  EXPECT_FALSE(fs::exists(trace));  // not one traced durable op
+  EXPECT_TRUE(fs::is_empty(tmp));
+  fs::remove_all(tmp);
+}
+
+TEST(IsolatedBatch, HangWithoutWatchdogWouldBlock_SoWatchdogIsProvenHere) {
   // One hanging unit, short budget: SIGTERM -> classified timeout, retried,
   // quarantined; a clean sibling is untouched.
-  const ScopedFaultEnv env("stuck:hang");
+  const ScopedEnv env("PSA_FAULT_AT", "stuck:hang");
   BatchOptions options;
   options.isolate = true;
   options.jobs = 2;
@@ -542,7 +627,6 @@ TEST(SalvageBatch, StrictFrontendOptionRestoresFailFast) {
 }
 
 TEST(SalvageBatch, ForkedWorkerProducesTheSamePartialOutcome) {
-  if (!isolation_supported()) GTEST_SKIP() << "no fork on this platform";
   BatchOptions options;
   options.isolate = true;
   const BatchResult result =
@@ -601,6 +685,51 @@ TEST_F(CheckpointedBatch, ResumePreservesThePartialOutcome) {
   EXPECT_EQ(u.payload->havoc_sites, first.units[0].payload->havoc_sites);
   EXPECT_EQ(u.payload->salvage_diagnostics,
             first.units[0].payload->salvage_diagnostics);
+}
+
+TEST_F(CheckpointedBatch, SupervisorWritesOneSnapshotPerAnalyzedUnit) {
+  // The supervisor, not the worker, writes <key>.snap: exactly one durable
+  // write per unit that ended ok or partial, none for a frontend error
+  // (resume never serves one), each landing before the unit's outcome
+  // record.
+  const std::vector<AnalysisUnit> units = {
+      inline_unit("a"), inline_unit("dirty", kDirtyInlineSource),
+      inline_unit("bad", "void main() { syntax error")};
+  const std::string trace = dir_ + ".trace";
+  fs::remove(trace);
+  BatchOptions options;
+  options.isolate = true;
+  options.checkpoint_dir = dir_;
+  BatchResult result;
+  {
+    const ScopedEnv traced("PSA_IO_TRACE", trace);
+    result = run_batch(units, options);
+  }
+  EXPECT_EQ(result.units[0].outcome.kind, UnitOutcomeKind::kOk);
+  EXPECT_EQ(result.units[1].outcome.kind, UnitOutcomeKind::kPartial);
+  EXPECT_EQ(result.units[2].outcome.kind, UnitOutcomeKind::kFrontendError);
+
+  std::ifstream in(trace);
+  std::string line;
+  std::vector<std::string> snap_writes;
+  while (std::getline(in, line)) {
+    if (line.find(".snap ") != std::string::npos) snap_writes.push_back(line);
+  }
+  fs::remove(trace);
+  ASSERT_EQ(snap_writes.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_NE(snap_writes[i].find(" atomic_write "), std::string::npos);
+    EXPECT_NE(snap_writes[i].find(unit_key(units[i]) + ".snap "),
+              std::string::npos)
+        << snap_writes[i];
+  }
+  EXPECT_FALSE(fs::exists(
+      Checkpoint(dir_, true).snapshot_path(unit_key(units[2]))));
+
+  // The snapshots the supervisor wrote serve a resume.
+  options.resume = true;
+  const BatchResult resumed = run_batch(units, options);
+  EXPECT_EQ(resumed.from_checkpoint_count(), 2u);
 }
 
 // ---------------------------------------------------------------------------

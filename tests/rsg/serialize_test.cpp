@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -89,6 +90,24 @@ TEST(SerializeEnvelope, RejectsTrailingGarbage) {
   std::string bytes = wrap_snapshot("payload");
   bytes += "garbage";
   EXPECT_THROW((void)unwrap_snapshot(bytes), SnapshotError);
+}
+
+TEST(SerializeEnvelope, DeclaredSizeReadsOnlyTheHeader) {
+  const std::string bytes = wrap_snapshot("a payload of some length");
+  EXPECT_EQ(declared_snapshot_size(bytes), bytes.size());
+  // The header alone declares the whole size; nothing else is checked.
+  EXPECT_EQ(declared_snapshot_size(bytes.substr(0, kSnapshotHeaderSize)),
+            bytes.size());
+  EXPECT_EQ(declared_snapshot_size(bytes.substr(0, kSnapshotHeaderSize - 1)),
+            0u);
+  std::string bad_magic = bytes;
+  bad_magic[0] = 'X';
+  EXPECT_EQ(declared_snapshot_size(bad_magic), 0u);
+  // A hostile size field saturates instead of wrapping around.
+  std::string huge = bytes;
+  for (std::size_t i = 16; i < 24; ++i) huge[i] = '\xff';
+  EXPECT_EQ(declared_snapshot_size(huge),
+            std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(ByteReaderTest, CountRejectsImpossibleElementCounts) {

@@ -20,6 +20,15 @@ TEST(HashTest, Mix64SpreadsSmallInputs) {
   EXPECT_EQ(seen.size(), 1000u);
 }
 
+TEST(HashTest, Fnv1aMatchesTheReferenceVectors) {
+  // Snapshot checksums, cache keys and checkpoint unit keys on disk are
+  // FNV-1a values: the function must stay exactly the published one.
+  EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ULL);
+  EXPECT_EQ(fnv1a("bar", fnv1a("foo")), fnv1a("foobar"));
+}
+
 TEST(HashTest, CombineIsOrderSensitive) {
   const auto ab = hash_combine(hash_value(1), hash_value(2));
   const auto ba = hash_combine(hash_value(2), hash_value(1));
