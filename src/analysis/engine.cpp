@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -28,24 +27,13 @@ class Engine {
  public:
   Engine(const cfg::Cfg& cfg, const cfg::InductionInfo& induction,
          const Options& options)
-      : cfg_(cfg), options_(options) {
+      : cfg_(cfg), options_(options), selectors_(cfg.selectors()) {
     ctx_.policy = options.policy();
     ctx_.prune = options.prune_options();
     ctx_.cfg = &cfg;
     ctx_.induction = &induction;
     ctx_.types = options.types;
     ctx_.summaries = options.enable_summaries ? options.summaries : nullptr;
-    // The selector universe: every selector some statement mentions. The
-    // concrete store can only ever write these, so SHSEL over this set is
-    // the full ⊤ for the analyzed function. The kHavoc transfer and the
-    // governor's kSummarize rung both saturate over it.
-    {
-      std::set<rsg::Symbol> sels;
-      for (const cfg::CfgNode& node : cfg.nodes()) {
-        if (node.stmt.sel.valid()) sels.insert(node.stmt.sel);
-      }
-      selectors_.assign(sels.begin(), sels.end());
-    }
     ctx_.selectors = &selectors_;
   }
 
@@ -449,12 +437,25 @@ class Engine {
 
   const cfg::Cfg& cfg_;
   const Options& options_;
+  const std::vector<rsg::Symbol> selectors_;  // cfg_.selectors()
   TransferContext ctx_;
-  std::vector<rsg::Symbol> selectors_;  // selector universe
   std::unordered_map<cfg::NodeId, TransferCache> transfer_cache_;
 };
 
 }  // namespace
+
+std::vector<const rsg::Rsg*> statement_inputs(
+    const cfg::Cfg& cfg, const AnalysisResult& result, cfg::NodeId id,
+    const std::vector<rsg::Rsg>& entry_states) {
+  std::vector<const rsg::Rsg*> in;
+  if (id == cfg.entry()) {
+    for (const rsg::Rsg& g : entry_states) in.push_back(&g);
+  }
+  for (const cfg::NodeId p : cfg.node(id).preds) {
+    for (const rsg::Rsg& g : result.per_node[p].graphs()) in.push_back(&g);
+  }
+  return in;
+}
 
 AnalysisResult analyze_cfg(const cfg::Cfg& cfg,
                            const cfg::InductionInfo& induction,

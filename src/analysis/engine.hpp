@@ -143,6 +143,13 @@ struct AnalysisResult {
   }
 };
 
+/// The abstract states statement `id` executes on: its predecessors'
+/// outputs, plus `entry_states` at the CFG entry (the engine's own input
+/// construction; pass one empty graph for the usual all-NULL entry).
+[[nodiscard]] std::vector<const rsg::Rsg*> statement_inputs(
+    const cfg::Cfg& cfg, const AnalysisResult& result, cfg::NodeId id,
+    const std::vector<rsg::Rsg>& entry_states);
+
 /// Run the fixpoint. Opens a support::MemoryRegion for the duration so the
 /// result's memory snapshot covers exactly this run even when other
 /// allocations (earlier units of an in-process batch) share the process.

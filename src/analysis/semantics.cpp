@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
 
 #include "support/metrics.hpp"
 
@@ -381,28 +380,13 @@ std::vector<Rsg> rebind_unknown(const Rsg& in, Symbol x, lang::StructId type,
     if (ctx.types != nullptr) {
       // Saturate both directions with every type-correct link so the node
       // covers interior cells of the existing structure as well as memory
-      // the analyzed code has never seen.
+      // the analyzed code has never seen; every selector it is reachable
+      // through may share it.
       const auto refs = g.node_refs();
-      for (const NodeRef b : refs) {
-        const lang::StructDecl& decl = ctx.types->struct_decl(g.props(b).type);
-        for (const lang::Field& f : decl.fields) {
-          if (!f.is_selector()) continue;
-          if (*f.type.struct_id == type) {
-            g.add_link(b, f.name, n);
-            g.props(b).pos_selout.insert(f.name);
-            g.props(n).pos_selin.insert(f.name);
-            g.props(n).shsel.insert(f.name);
-          }
-          if (b == n) {
-            // Outgoing saturation from the unknown node itself.
-            for (const NodeRef tgt : refs) {
-              if (g.props(tgt).type != *f.type.struct_id) continue;
-              g.add_link(n, f.name, tgt);
-              g.props(n).pos_selout.insert(f.name);
-              g.props(tgt).pos_selin.insert(f.name);
-            }
-          }
-        }
+      rsg::saturate_links(g, refs, {n}, *ctx.types);
+      rsg::saturate_links(g, {n}, refs, *ctx.types);
+      for (const rsg::InLink& in : g.in_links(n)) {
+        g.props(n).shsel.insert(in.sel);
       }
     } else if (ctx.selectors != nullptr) {
       // No type table: saturate the sharing bits over the selector universe
@@ -427,31 +411,6 @@ std::vector<Rsg> exec_havoc_rebind(const Rsg& in, const SimpleStmt& stmt,
 // rebind of the destination.
 // ---------------------------------------------------------------------------
 
-/// The heap region a callee can observe or mutate: every node reachable from
-/// the argument bindings over may-links. The subset has no globals, so this
-/// is reachability-closed and complete: an abstract link exists whenever the
-/// corresponding concrete link is possible, hence every concrete cell the
-/// callee can reach is represented by a node in this set.
-std::vector<NodeRef> callee_region(const Rsg& g, const SimpleStmt& stmt) {
-  std::vector<NodeRef> region;
-  std::set<NodeRef> seen;
-  std::vector<NodeRef> work;
-  for (const Symbol a : stmt.args) {
-    const NodeRef t = g.pvar_target(a);
-    if (t != kNoNode && seen.insert(t).second) work.push_back(t);
-  }
-  while (!work.empty()) {
-    const NodeRef n = work.back();
-    work.pop_back();
-    region.push_back(n);
-    for (const rsg::Link& l : g.out_links(n)) {
-      if (seen.insert(l.target).second) work.push_back(l.target);
-    }
-  }
-  std::sort(region.begin(), region.end());
-  return region;
-}
-
 /// Saturate every type-correct may-link between `n` and the `peers` cells:
 /// out-links (and a self-link) always — the callee may have written any of
 /// n's fields; in-links from the peers only when `in_links_too` — a cell
@@ -469,28 +428,13 @@ void saturate_with(Rsg& g, NodeRef n, const std::vector<NodeRef>& peers,
   }
   std::vector<NodeRef> all = peers;
   all.push_back(n);  // the callee may have linked the cell to itself
-  const lang::StructDecl& n_decl = ctx.types->struct_decl(g.props(n).type);
-  for (const lang::Field& f : n_decl.fields) {
-    if (!f.is_selector()) continue;
-    for (const NodeRef b : all) {
-      if (g.props(b).type != *f.type.struct_id) continue;
-      g.add_link(n, f.name, b);
-      g.props(n).pos_selout.insert(f.name);
-      g.props(b).pos_selin.insert(f.name);
-    }
-  }
+  rsg::saturate_links(g, {n}, all, *ctx.types);
   if (!in_links_too) return;
   g.props(n).shared = true;
-  for (const NodeRef b : peers) {
-    const lang::StructDecl& decl = ctx.types->struct_decl(g.props(b).type);
-    for (const lang::Field& f : decl.fields) {
-      if (!f.is_selector()) continue;
-      if (*f.type.struct_id != g.props(n).type) continue;
-      g.add_link(b, f.name, n);
-      g.props(b).pos_selout.insert(f.name);
-      g.props(n).pos_selin.insert(f.name);
-      g.props(n).shsel.insert(f.name);
-    }
+  rsg::saturate_links(g, peers, {n}, *ctx.types);
+  // Every peer selector into the cell may share it (its self-link does not).
+  for (const rsg::InLink& in : g.in_links(n)) {
+    if (in.source != n) g.props(n).shsel.insert(in.sel);
   }
 }
 
@@ -546,7 +490,7 @@ std::vector<Rsg> exec_call(const Rsg& in, const cfg::CfgNode& node,
       ctx.selectors != nullptr ? *ctx.selectors : kNoSelectors;
 
   Rsg g = in;
-  const std::vector<NodeRef> region = callee_region(g, stmt);
+  const std::vector<NodeRef> region = callee_region(g, stmt.args);
 
   if (sum->may_free) {
     // The callee may free any argument-reachable cell; live cells widen to
@@ -576,18 +520,7 @@ std::vector<Rsg> exec_call(const Rsg& in, const cfg::CfgNode& node,
     if (ctx.types != nullptr && linkable.size() > region.size()) {
       // Saturate type-correct may-links across region ∪ fresh (the
       // region-internal links were already saturated above).
-      for (const NodeRef a : linkable) {
-        const lang::StructDecl& decl = ctx.types->struct_decl(g.props(a).type);
-        for (const lang::Field& f : decl.fields) {
-          if (!f.is_selector()) continue;
-          for (const NodeRef b : linkable) {
-            if (g.props(b).type != *f.type.struct_id) continue;
-            g.add_link(a, f.name, b);
-            g.props(a).pos_selout.insert(f.name);
-            g.props(b).pos_selin.insert(f.name);
-          }
-        }
-      }
+      rsg::saturate_links(g, linkable, linkable, *ctx.types);
     }
   }
 
@@ -707,6 +640,20 @@ std::vector<Rsg> exec_touch_clear(const Rsg& in, const SimpleStmt& stmt,
 }
 
 }  // namespace
+
+std::vector<NodeRef> callee_region(const Rsg& g,
+                                   const std::vector<Symbol>& args) {
+  std::vector<NodeRef> roots;
+  for (const Symbol a : args) {
+    const NodeRef t = g.pvar_target(a);
+    if (t != kNoNode) roots.push_back(t);
+  }
+  const std::vector<bool> reached = g.reachable_from(roots);
+  std::vector<NodeRef> region;
+  for (NodeRef n = 0; n < reached.size(); ++n)
+    if (reached[n]) region.push_back(n);
+  return region;
+}
 
 std::vector<Rsg> bind_unknown_param(const Rsg& in, Symbol param,
                                     lang::StructId type,

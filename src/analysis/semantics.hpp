@@ -44,6 +44,17 @@ struct TransferContext {
                                                       const cfg::CfgNode& node,
                                                       const TransferContext& ctx);
 
+/// The heap region a callee can observe or mutate through the pointer
+/// arguments `args`: every node reachable from their bindings over
+/// may-links, ascending. The subset has no globals, so this is
+/// reachability-closed and complete: an abstract link exists whenever the
+/// corresponding concrete link is possible, hence every concrete cell the
+/// callee can reach is represented by a node in this set. The kCall
+/// transfer widens it; the summary projection (src/ipa) asks whether it
+/// holds caller-derived cells.
+[[nodiscard]] std::vector<rsg::NodeRef> callee_region(
+    const rsg::Rsg& g, const std::vector<support::Symbol>& args);
+
 /// Entry abstraction for the summary computation (src/ipa): bind `param` to
 /// an unknown caller value of struct type `type`. Produces the same three
 /// variant families as the kHavoc rebind transfer — NULL, alias with an

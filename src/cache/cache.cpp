@@ -8,7 +8,6 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -23,15 +22,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr std::string_view kEntrySuffix = ".entry";
-
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  out = buffer.str();
-  return true;
-}
 
 /// Envelope-level validation: magic, version, size and checksum — cheap and
 /// catches every torn write and bit flip. Payload-level skew is left to the
@@ -127,14 +117,14 @@ ResultCache::Lookup ResultCache::lookup(const CacheKey& key, EntryTier tier) {
                                             : support::Counter::kFuncCacheMisses;
   Lookup result;
   const std::string path = entry_path(key);
-  std::string bytes;
-  if (!read_file(path, bytes)) {
+  std::optional<std::string> bytes = support::io::read_file(path);
+  if (!bytes) {
     result.status = Lookup::Status::kMiss;
     PSA_COUNT(miss_counter);
     return result;
   }
   std::string diagnostic;
-  if (!envelope_valid(bytes, diagnostic)) {
+  if (!envelope_valid(*bytes, diagnostic)) {
     quarantine(path, diagnostic);
     result.status = Lookup::Status::kEvicted;
     result.diagnostic = diagnostic;
@@ -146,7 +136,7 @@ ResultCache::Lookup ResultCache::lookup(const CacheKey& key, EntryTier tier) {
   std::error_code ec;
   fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
   result.status = Lookup::Status::kHit;
-  result.bytes = std::move(bytes);
+  result.bytes = std::move(*bytes);
   PSA_COUNT(tier == EntryTier::kUnit ? support::Counter::kCacheHits
                                      : support::Counter::kFuncCacheHits);
   return result;
@@ -256,9 +246,9 @@ ResultCache::SweepReport ResultCache::sweep(const SweepLimits& limits) {
   // explains the directory) and the unlink is atomic (concurrency: a reader
   // mid-lookup keeps its open fd or takes a clean miss — never torn bytes).
   const auto evict_entry = [&](const EntryInfo& e, std::string_view why) {
-    std::string bytes;
+    const std::optional<std::string> bytes = support::io::read_file(e.path);
     std::string diagnostic = "unreadable entry";
-    if (!read_file(e.path, bytes) || !envelope_valid(bytes, diagnostic)) {
+    if (!bytes || !envelope_valid(*bytes, diagnostic)) {
       // Suspicious under the sweep's feet: quarantine, never delete — the
       // post-mortem trail matters more than the disk it occupies. The move
       // preserves the bytes, so a lost journal record costs nothing.

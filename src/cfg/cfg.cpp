@@ -22,6 +22,15 @@ void Cfg::add_edge(NodeId from, NodeId to) {
   nodes_[to].preds.push_back(from);
 }
 
+std::vector<Symbol> Cfg::selectors() const {
+  std::vector<Symbol> out;
+  for (const CfgNode& node : nodes_)
+    if (node.stmt.sel.valid()) out.push_back(node.stmt.sel);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
 std::string Cfg::dump(const support::Interner& interner) const {
   std::ostringstream os;
   for (NodeId id = 0; id < nodes_.size(); ++id) {

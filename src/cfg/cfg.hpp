@@ -56,6 +56,12 @@ class Cfg {
     return pointer_vars_;
   }
 
+  /// The selector universe: every selector some statement mentions,
+  /// ascending. The concrete store can only ever write these, so SHSEL over
+  /// this set is the full ⊤ for the function (the kHavoc transfer and the
+  /// governor's kSummarize rung saturate over it).
+  [[nodiscard]] std::vector<Symbol> selectors() const;
+
   /// Struct-pointer pointee type per pvar (parallel to variables map).
   [[nodiscard]] const std::unordered_map<Symbol, lang::StructId>&
   pvar_struct() const noexcept {

@@ -193,23 +193,6 @@ std::vector<TraceStep> witness_trace(const ProgramAnalysis& program,
   return steps;
 }
 
-/// The incoming abstract state of a statement: union of the predecessors'
-/// outputs; the entry executes on the single empty graph (mirrors the
-/// engine's own input construction).
-std::vector<const Rsg*> incoming_graphs(const ProgramAnalysis& program,
-                                        const AnalysisResult& result,
-                                        NodeId id, const Rsg& empty) {
-  std::vector<const Rsg*> in;
-  if (id == program.cfg.entry()) {
-    in.push_back(&empty);
-    return in;
-  }
-  for (const NodeId pred : program.cfg.node(id).preds) {
-    for (const Rsg& g : result.per_node[pred].graphs()) in.push_back(&g);
-  }
-  return in;
-}
-
 /// Does killing `victim`'s reachability witness leave it unreachable? The
 /// caller mutates a copy of the graph (unbinding a pvar / removing a link)
 /// and asks whether `victim` — identified by ref in that copy — died.
@@ -487,9 +470,10 @@ struct Checker {
   }
 
   void run() {
-    const Rsg empty;
+    const std::vector<Rsg> entry(1);  // the all-NULL entry configuration
     for (NodeId id = 0; id < program.cfg.size(); ++id) {
-      const auto in = incoming_graphs(program, result, id, empty);
+      const auto in =
+          analysis::statement_inputs(program.cfg, result, id, entry);
       if (in.empty()) continue;  // unreachable / not analyzed (partial run)
       check_deref(id, in);
       check_free(id, in);

@@ -104,23 +104,6 @@ std::vector<NodeRef> path_roots(const ProgramAnalysis& program, const Rsg& g,
   return frontier;
 }
 
-std::vector<bool> reach_from(const Rsg& g, const std::vector<NodeRef>& roots) {
-  std::vector<bool> seen(g.node_capacity(), false);
-  std::vector<NodeRef> work(roots);
-  for (const NodeRef r : roots) seen[r] = true;
-  while (!work.empty()) {
-    const NodeRef n = work.back();
-    work.pop_back();
-    for (const rsg::Link& l : g.out_links(n)) {
-      if (!seen[l.target]) {
-        seen[l.target] = true;
-        work.push_back(l.target);
-      }
-    }
-  }
-  return seen;
-}
-
 }  // namespace
 
 bool regions_may_overlap(const ProgramAnalysis& program, const Rsrsg& set,
@@ -129,8 +112,8 @@ bool regions_may_overlap(const ProgramAnalysis& program, const Rsrsg& set,
     const auto roots_a = path_roots(program, g, path_a);
     const auto roots_b = path_roots(program, g, path_b);
     if (roots_a.empty() || roots_b.empty()) continue;
-    const auto seen_a = reach_from(g, roots_a);
-    const auto seen_b = reach_from(g, roots_b);
+    const auto seen_a = g.reachable_from(roots_a);
+    const auto seen_b = g.reachable_from(roots_b);
     for (std::size_t i = 0; i < seen_a.size(); ++i) {
       if (seen_a[i] && seen_b[i]) return true;
     }
@@ -222,25 +205,12 @@ bool has_unexplained_cycle(const Rsg& g, NodeRef root) {
 
 StructureKind classify_one(const Rsg& g, NodeRef root) {
   // Reachable subgraph from root.
-  std::vector<NodeRef> reach;
-  std::vector<bool> seen(g.node_capacity(), false);
-  std::vector<NodeRef> work{root};
-  seen[root] = true;
-  while (!work.empty()) {
-    const NodeRef n = work.back();
-    work.pop_back();
-    reach.push_back(n);
-    for (const rsg::Link& l : g.out_links(n)) {
-      if (!seen[l.target]) {
-        seen[l.target] = true;
-        work.push_back(l.target);
-      }
-    }
-  }
+  const std::vector<bool> reach = g.reachable_from({root});
 
   bool any_sharing = false;
   bool list_shaped = true;
-  for (const NodeRef n : reach) {
+  for (NodeRef n = 0; n < reach.size(); ++n) {
+    if (!reach[n]) continue;
     const auto& p = g.props(n);
     // Sharing not explained by a cycle-link back-pointer counts. A selector
     // that is the returning half of a cycle-link pair (e.g. a DLL's prv) is

@@ -42,13 +42,6 @@ struct TracedOp {
   std::string path;
 };
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 /// Re-exec `exe` with `args`, stdout/stderr captured to files. The io fault
 /// env vars are always cleared first so the campaign's own environment can
 /// never leak a fault plan into a child; `env` then sets this scenario's.
@@ -246,7 +239,8 @@ int run_fault_campaign(const CampaignOptions& options) {
                  golden.exited ? 1 : 0, golden.exit_code, golden.signal);
     return 2;
   }
-  const std::string golden_report = read_file(golden_out);
+  const std::string golden_report =
+      support::io::read_file(golden_out).value_or("");
 
   std::vector<TracedOp> ops = parse_trace(trace_path);
   if (ops.empty()) {
@@ -320,8 +314,8 @@ int run_fault_campaign(const CampaignOptions& options) {
           violation(op, kind, what.str());
           continue;
         }
-        const std::string resumed_report =
-            strip_resume_markers(read_file(resume_out));
+        const std::string resumed_report = strip_resume_markers(
+            support::io::read_file(resume_out).value_or(""));
         if (resumed_report != golden_report) {
           violation(op, kind,
                     "--resume report differs from golden (see " + resume_out +
@@ -349,7 +343,8 @@ int run_fault_campaign(const CampaignOptions& options) {
 
       // Invariant 2: byte-identical report, or an explicit degradation
       // marker — never a silently different answer.
-      const std::string faulted_report = read_file(fault_out);
+      const std::string faulted_report =
+          support::io::read_file(fault_out).value_or("");
       if (faulted_report != golden_report &&
           !carries_degradation_marker(faulted_report)) {
         violation(op, kind,
@@ -378,7 +373,8 @@ int run_fault_campaign(const CampaignOptions& options) {
         violation(op, kind, what.str());
         continue;
       }
-      const std::string warm_report = read_file(warm_out);
+      const std::string warm_report =
+          support::io::read_file(warm_out).value_or("");
       if (warm_report != golden_report) {
         violation(op, kind,
                   "warm verify report differs from golden (see " + warm_out +

@@ -59,12 +59,16 @@ std::string unit_key(const AnalysisUnit& unit) {
     if (sanitized.size() >= 64) break;
   }
   if (sanitized.empty()) sanitized = "unit";
-  const std::uint64_t h = support::fnv1a(
-      unit.function, support::fnv1a(unit.name) ^ 0x9e3779b9ull);
+  // The source bytes are part of the identity: an edited unit is a new
+  // unit, so --resume re-runs it instead of serving the old result. All 64
+  // bits are kept — only this hash tells an edit from the original.
+  std::uint64_t h = support::fnv1a(unit.name) ^ 0x9e3779b9ull;
+  h = support::fnv1a(unit.function, h) ^ 0x9e3779b9ull;
+  h = support::fnv1a(unit.source, h);
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(h));
-  return sanitized + "-" + std::string(hex, 8);
+  return sanitized + "-" + hex;
 }
 
 Checkpoint::Checkpoint(std::string dir, bool resume) : dir_(std::move(dir)) {
@@ -85,8 +89,8 @@ Checkpoint::Checkpoint(std::string dir, bool resume) : dir_(std::move(dir)) {
                                 name + " (writer died mid-write)");
     }
 
-    // Replay: the last outcome line per key wins; torn/unknown lines are
-    // skipped.
+    // Replay: the last outcome line per key wins; torn/unknown lines —
+    // including the `attempt` records older journals carry — are skipped.
     std::ifstream in(journal_path_);
     std::string line;
     while (std::getline(in, line)) {
@@ -147,8 +151,8 @@ Checkpoint::Checkpoint(std::string dir, bool resume) : dir_(std::move(dir)) {
     if (!append_record(std::string(kJournalHeader))) {
       // The journal is unwritable (full disk, failing device, bad perms).
       // Degrade instead of killing the batch: the run completes normally,
-      // every later record_* reports failure for the caller to count, and a
-      // --resume simply re-runs what the journal never learned about.
+      // every later record_outcome reports failure for the caller to count,
+      // and a --resume simply re-runs what the journal never learned about.
       recovery_notes_.push_back(
           "checkpoint: journal not writable at " + journal_path_ +
           "; this run will not be resumable from it");
@@ -160,10 +164,6 @@ bool Checkpoint::append_record(const std::string& line) {
   const auto result = support::io::checked_append(journal_path_, line + '\n');
   if (!result) PSA_COUNT(support::Counter::kIoDegradations);
   return result.ok;
-}
-
-bool Checkpoint::record_attempt(const std::string& key, int attempt) {
-  return append_record("attempt " + key + ' ' + std::to_string(attempt));
 }
 
 bool Checkpoint::record_outcome(const std::string& key,
@@ -201,16 +201,13 @@ bool Checkpoint::store_payload(const std::string& key,
 std::optional<UnitPayload> Checkpoint::load_payload(const std::string& key,
                                                     std::string* error) const {
   const std::string path = snapshot_path(key);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const std::optional<std::string> bytes = support::io::read_file(path);
+  if (!bytes) {
     if (error != nullptr) *error = "missing snapshot " + path;
     return std::nullopt;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string bytes = buffer.str();
   try {
-    return deserialize_unit_payload(bytes);
+    return deserialize_unit_payload(*bytes);
   } catch (const rsg::SnapshotError& e) {
     if (error != nullptr) *error = std::string(e.what()) + " in " + path;
     return std::nullopt;

@@ -1,5 +1,5 @@
 // The on-disk checkpoint of a batch run: an append-only journal of unit
-// attempts/outcomes plus one snapshot file per analyzed unit.
+// outcomes plus one snapshot file per analyzed unit.
 //
 // Directory layout (--checkpoint=DIR):
 //   journal.psaj          append-only text journal (see below)
@@ -13,10 +13,14 @@
 // Journal format — line oriented, tolerant to a torn final line (a SIGKILLed
 // supervisor can lose at most the line being written):
 //   psa-journal v1
-//   attempt <key> <n>
 //   outcome <key> <kind> <exit> <signal> <attempts> <quarantined> <detail>
 // `detail` is the remainder of the line with newlines escaped as "\n".
-// The LAST outcome line per key wins on replay.
+// The LAST outcome line per key wins on replay; every other line (torn,
+// unknown, or an `attempt` record of an older journal) is skipped.
+//
+// Units are keyed by content: the key hashes the unit's name, function and
+// the source bytes its worker analyzes, so an edited source is a new unit
+// that --resume re-runs.
 //
 // Resume semantics (--resume): a unit whose replayed outcome is `ok` AND
 // whose snapshot validates is skipped and its payload served from disk; a
@@ -38,8 +42,11 @@
 
 namespace psa::driver {
 
-/// Filesystem-safe stable key for a unit: sanitized name plus a hash of
-/// (name, function) so distinct units never collide.
+/// Filesystem-safe stable key for a unit: sanitized name plus a 64-bit hash
+/// of (name, function, source), so distinct units never collide and an
+/// edited source never matches its old checkpoint. The supervisor keys a
+/// unit after reading its on-disk source (an unreadable file has no source
+/// bytes and keeps the key of its name and function).
 [[nodiscard]] std::string unit_key(const AnalysisUnit& unit);
 
 class Checkpoint {
@@ -48,14 +55,13 @@ class Checkpoint {
   /// into memory; otherwise the directory is cleared. Throws
   /// std::runtime_error only when the directory itself cannot be created; a
   /// journal that cannot be written is a degradation (noted in
-  /// recovery_notes(), every later record_* returns false) — the batch runs
-  /// to completion, it just is not resumable from this journal.
+  /// recovery_notes(), every later record_outcome returns false) — the batch
+  /// runs to completion, it just is not resumable from this journal.
   Checkpoint(std::string dir, bool resume);
 
-  /// Journal writes, durable (O_APPEND + fsync via support/io). False means
+  /// Journal write, durable (O_APPEND + fsync via support/io). False means
   /// the record is not known durable: the caller counts the degradation and
   /// carries on — on a later --resume the unit re-runs, which is sound.
-  [[nodiscard]] bool record_attempt(const std::string& key, int attempt);
   [[nodiscard]] bool record_outcome(const std::string& key,
                                     const UnitOutcome& outcome);
 

@@ -14,7 +14,6 @@
 #include <csignal>
 #include <cstdio>
 #include <deque>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <new>
@@ -187,16 +186,14 @@ std::string run_unit_serialized(const AnalysisUnit& unit,
 
   std::string source = unit.source;
   if (source.empty() && !unit.source_path.empty()) {
-    std::ifstream in(unit.source_path, std::ios::binary);
-    if (!in) {
+    std::optional<std::string> bytes = support::io::read_file(unit.source_path);
+    if (!bytes) {
       payload.frontend_ok = false;
       payload.frontend_error = "cannot read " + unit.source_path;
       const support::Interner empty;
       return serialize_unit_payload(payload, empty);
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    source = buffer.str();
+    source = std::move(*bytes);
   }
 
   try {
@@ -521,20 +518,23 @@ BatchResult run_batch(const std::vector<AnalysisUnit>& units,
     }
   }
 
+  // The units as the runners see them: each on-disk source is read once,
+  // here, so its checkpoint key covers exactly the bytes its worker
+  // analyzes. A file that cannot be read stays source-less; the runner
+  // then reports it as unreadable.
+  std::vector<AnalysisUnit> sourced = units;
   std::vector<std::string> keys(units.size());
-  for (std::size_t i = 0; i < units.size(); ++i) keys[i] = unit_key(units[i]);
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    AnalysisUnit& u = sourced[i];
+    if (u.source.empty() && !u.source_path.empty()) {
+      u.source = support::io::read_file(u.source_path).value_or("");
+    }
+    keys[i] = unit_key(u);
+  }
 
   // Journal writes are checked: a record that does not land durably is a
   // sound degradation — the unit merely re-runs on a later --resume — so it
   // is counted and noted, never fatal and never silently dropped.
-  const auto journal_attempt = [&](std::size_t i, int attempt) {
-    if (!checkpoint) return;
-    if (!checkpoint->record_attempt(keys[i], attempt)) {
-      ++result.io_degradations;
-      log_line(options, "checkpoint degraded: attempt record for " +
-                            units[i].name + " not durable");
-    }
-  };
   const auto journal_outcome = [&](std::size_t i, const UnitOutcome& outcome) {
     if (!checkpoint) return;
     if (!checkpoint->record_outcome(keys[i], outcome)) {
@@ -581,7 +581,6 @@ BatchResult run_batch(const std::vector<AnalysisUnit>& units,
   const int max_attempts = std::max(1, options.max_attempts);
 
   const auto start_attempt = [&](const PendingAttempt& a) {
-    journal_attempt(a.unit_index, a.attempt);
     log_line(options, (a.attempt > 1 ? "start (retry) " : "start ") +
                           units[a.unit_index].name);
   };
@@ -654,8 +653,8 @@ BatchResult run_batch(const std::vector<AnalysisUnit>& units,
         worker.pid = ::fork();
         if (worker.pid == 0) {
           ::close(fds[0]);
-          run_worker(units[worker.attempt.unit_index], worker.attempt.engine,
-                     effective_runner, fds[1]);
+          run_worker(sourced[worker.attempt.unit_index],
+                     worker.attempt.engine, effective_runner, fds[1]);
         }
         ::close(fds[1]);
         if (worker.pid < 0) ::close(fds[0]);
@@ -754,7 +753,7 @@ BatchResult run_batch(const std::vector<AnalysisUnit>& units,
       outcome.attempts = next.attempt;
       try {
         complete(next,
-                 effective_runner(units[next.unit_index], next.engine));
+                 effective_runner(sourced[next.unit_index], next.engine));
         continue;
       } catch (const std::bad_alloc&) {
         outcome.kind = UnitOutcomeKind::kOom;

@@ -16,11 +16,15 @@
 //   * a failed unit is retried ONCE at a stepped-down governor budget
 //     (stepped_down()); failing again quarantines it — the batch always
 //     completes with every other result intact;
-//   * with --checkpoint, attempts/outcomes are journaled and the supervisor
+//   * the supervisor reads each on-disk source once and hands the bytes to
+//     the worker, so a unit's checkpoint key covers what the worker
+//     analyzes;
+//   * with --checkpoint, outcomes are journaled and the supervisor
 //     writes each analyzed unit's snapshot before its outcome record, so an
 //     interrupted batch resumes: finished units are served from disk,
-//     quarantined units replay their outcome, everything else re-runs.
-//     Without --checkpoint nothing but the cache touches the disk;
+//     quarantined units replay their outcome, everything else (an edited
+//     source included) re-runs. Without --checkpoint nothing but the cache
+//     writes to the disk;
 //   * with isolation off, units run in-process through the exact same
 //     completion/outcome/checkpoint/reporting machinery — exceptions are
 //     contained per unit, but hard crashes and hangs are not (the governor's

@@ -20,7 +20,9 @@ namespace psa::driver {
 struct AnalysisUnit {
   std::string name;
   std::string function = "main";
-  /// Inline source text; when empty the worker reads `source_path`.
+  /// Inline source text. When empty, run_batch reads `source_path` once and
+  /// hands the bytes to the runner (and keys the unit's checkpoint on them);
+  /// a runner given a unit without source bytes reads the file itself.
   std::string source;
   /// On-disk source (also the artifact URI in merged SARIF logs).
   std::string source_path;

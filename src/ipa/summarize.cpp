@@ -1,6 +1,6 @@
 #include "ipa/summarize.hpp"
 
-#include <set>
+#include <algorithm>
 #include <vector>
 
 #include "analysis/semantics.hpp"
@@ -16,32 +16,11 @@ using analysis::ProgramAnalysis;
 using rsg::NodeRef;
 using rsg::Rsg;
 
-/// May the heap region reachable from `roots` contain a cell that derives
-/// from the function's own caller (a havoc-marked node of the summary run)?
-/// BFS over may-links — the same closure the kCall transfer uses.
-bool may_reach_marked(const Rsg& g, const std::vector<support::Symbol>& roots) {
-  std::set<NodeRef> seen;
-  std::vector<NodeRef> work;
-  for (const support::Symbol r : roots) {
-    const NodeRef t = g.pvar_target(r);
-    if (t != rsg::kNoNode && seen.insert(t).second) work.push_back(t);
-  }
-  while (!work.empty()) {
-    const NodeRef n = work.back();
-    work.pop_back();
-    if (g.props(n).havoc) return true;
-    for (const rsg::Link& l : g.out_links(n)) {
-      if (seen.insert(l.target).second) work.push_back(l.target);
-    }
-  }
-  return false;
-}
-
-bool any_marked(const Rsg& g) {
-  for (const NodeRef n : g.node_refs()) {
-    if (g.props(n).havoc) return true;
-  }
-  return false;
+/// Does `nodes` hold a cell that derives from the function's own caller (a
+/// havoc-marked node of the summary run)?
+bool any_marked(const Rsg& g, const std::vector<NodeRef>& nodes) {
+  return std::any_of(nodes.begin(), nodes.end(),
+                     [&g](NodeRef n) { return g.props(n).havoc; });
 }
 
 /// Pointwise widening join: the Kleene iteration over a recursive SCC must
@@ -78,15 +57,7 @@ FunctionSummary summarize_one(const ProgramAnalysis& program,
     if (p.type.is_struct_pointer()) s.params.push_back(p.name);
   }
 
-  // Selector universe of this CFG — same construction as the engine's.
-  std::vector<support::Symbol> selectors;
-  {
-    std::set<support::Symbol> sels;
-    for (const cfg::CfgNode& node : fc.cfg.nodes()) {
-      if (node.stmt.sel.valid()) sels.insert(node.stmt.sel);
-    }
-    selectors.assign(sels.begin(), sels.end());
-  }
+  const std::vector<support::Symbol> selectors = fc.cfg.selectors();
 
   analysis::TransferContext ctx;
   ctx.policy = base.policy();
@@ -135,19 +106,11 @@ FunctionSummary summarize_one(const ProgramAnalysis& program,
   // Caller-visible effects, judged against the abstract states *before*
   // each statement (the union of its predecessors' outputs; the entry's
   // input is the entry abstraction).
-  std::vector<const Rsg*> inputs;
-  const auto collect_inputs = [&](cfg::NodeId id) {
-    inputs.clear();
-    if (id == fc.cfg.entry()) {
-      for (const Rsg& g : entry_states) inputs.push_back(&g);
-    }
-    for (const cfg::NodeId p : fc.cfg.node(id).preds) {
-      for (const Rsg& g : res.per_node[p].graphs()) inputs.push_back(&g);
-    }
-  };
-
   for (cfg::NodeId id = 0; id < fc.cfg.size(); ++id) {
     const cfg::SimpleStmt& stmt = fc.cfg.node(id).stmt;
+    const auto inputs = [&] {
+      return analysis::statement_inputs(fc.cfg, res, id, entry_states);
+    };
     switch (stmt.op) {
       case cfg::SimpleOp::kStore:
       case cfg::SimpleOp::kStoreNull: {
@@ -155,8 +118,7 @@ FunctionSummary summarize_one(const ProgramAnalysis& program,
         // may target a caller-derived cell. Writes into cells the callee
         // allocated itself (unmarked) are invisible until those cells are
         // linked in — and the linking store has a marked base.
-        collect_inputs(id);
-        for (const Rsg* g : inputs) {
+        for (const Rsg* g : inputs()) {
           const NodeRef t = g->pvar_target(stmt.x);
           if (t != rsg::kNoNode && g->props(t).havoc) {
             s.mutates_heap = true;
@@ -166,8 +128,7 @@ FunctionSummary summarize_one(const ProgramAnalysis& program,
         break;
       }
       case cfg::SimpleOp::kFree: {
-        collect_inputs(id);
-        for (const Rsg* g : inputs) {
+        for (const Rsg* g : inputs()) {
           const NodeRef t = g->pvar_target(stmt.x);
           if (t != rsg::kNoNode && g->props(t).havoc) {
             s.may_free = true;
@@ -186,9 +147,8 @@ FunctionSummary summarize_one(const ProgramAnalysis& program,
         // rebind form only reassigns a local pvar. Either way the run's
         // exit states carry the graph taint, so havoc_tainted follows below.
         if (!stmt.x.valid()) {
-          collect_inputs(id);
-          for (const Rsg* g : inputs) {
-            if (any_marked(*g)) {
+          for (const Rsg* g : inputs()) {
+            if (any_marked(*g, g->node_refs())) {
               s.mutates_heap = true;
               break;
             }
@@ -207,8 +167,7 @@ FunctionSummary summarize_one(const ProgramAnalysis& program,
         // an under-approximating summary.
         const auto it = table.find(stmt.callee);
         if (it == table.end() || !it->second.analyzed) {
-          collect_inputs(id);
-          if (!inputs.empty()) {
+          if (!inputs().empty()) {
             s.analyzed = false;
             return s;
           }
@@ -219,9 +178,9 @@ FunctionSummary summarize_one(const ProgramAnalysis& program,
           s.alloc_types[type_raw].insert(lines.begin(), lines.end());
         }
         if (cs.mutates_heap || cs.may_free) {
-          collect_inputs(id);
-          for (const Rsg* g : inputs) {
-            if (may_reach_marked(*g, stmt.args)) {
+          for (const Rsg* g : inputs()) {
+            // The region the kCall transfer hands the callee.
+            if (any_marked(*g, analysis::callee_region(*g, stmt.args))) {
               if (cs.mutates_heap) s.mutates_heap = true;
               if (cs.may_free) s.may_free = true;
               break;

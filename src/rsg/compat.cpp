@@ -83,11 +83,11 @@ bool c_nodes_rsg(const NodeProps& pa, const NodeCompatContext& ca,
   return common_compat(pa, ca, pb, cb, policy);
 }
 
-NodeProps merge_node_props(const Rsg& ga, NodeRef na, const Rsg& gb,
-                           NodeRef nb, bool same_configuration) {
-  const NodeProps& a = ga.props(na);
-  const NodeProps& b = gb.props(nb);
-
+NodeProps merge_node_props(const NodeProps& a,
+                           const SmallSet<Symbol>& a_out_sels,
+                           const NodeProps& b,
+                           const SmallSet<Symbol>& b_out_sels,
+                           bool same_configuration) {
   NodeProps out;
   out.type = a.type;
 
@@ -135,17 +135,12 @@ NodeProps merge_node_props(const Rsg& ga, NodeRef na, const Rsg& gb,
   // CYCLELINKS: keep the pairs common to both, plus a pair from one node
   // whose first selector is not a link selector of the other node (then the
   // pair holds vacuously for the other node's locations).
-  auto has_out_sel = [](const Rsg& g, NodeRef n, Symbol sel) {
-    for (const Link& l : g.out_links(n))
-      if (l.sel == sel) return true;
-    return false;
-  };
   for (const SelPair cl : a.cyclelinks) {
-    if (b.cyclelinks.contains(cl) || !has_out_sel(gb, nb, cl.out))
+    if (b.cyclelinks.contains(cl) || !b_out_sels.contains(cl.out))
       out.cyclelinks.insert(cl);
   }
   for (const SelPair cl : b.cyclelinks) {
-    if (a.cyclelinks.contains(cl) || !has_out_sel(ga, na, cl.out))
+    if (a.cyclelinks.contains(cl) || !a_out_sels.contains(cl.out))
       out.cyclelinks.insert(cl);
   }
 

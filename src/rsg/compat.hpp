@@ -48,10 +48,14 @@ struct NodeCompatContext {
 /// `same_configuration` is true when the nodes summarize locations of the
 /// same concrete configuration (COMPRESS) — the result is then always a
 /// summary; across configurations (JOIN) `one`+`one` stays `one`.
-/// The cycle-link rule needs to know whether each node has an outgoing link
-/// per selector, so the owning graphs are passed alongside.
-[[nodiscard]] NodeProps merge_node_props(const Rsg& ga, NodeRef na,
-                                         const Rsg& gb, NodeRef nb,
+/// The cycle-link rule needs to know which selectors each side has an
+/// outgoing link on, so each side's out-selector set (Rsg::out_selectors,
+/// or the union over the members already folded into it) comes alongside
+/// its properties.
+[[nodiscard]] NodeProps merge_node_props(const NodeProps& a,
+                                         const SmallSet<Symbol>& a_out_sels,
+                                         const NodeProps& b,
+                                         const SmallSet<Symbol>& b_out_sels,
                                          bool same_configuration);
 
 }  // namespace psa::rsg

@@ -7,6 +7,42 @@ namespace psa::rsg {
 
 namespace {
 
+/// MERGE_COMP_NODES in place: every class of `uf` with more than one member
+/// folds into its least member, the others in ascending node order. Each
+/// fold merges the properties against the out-selectors both sides have at
+/// that moment — the representative's include every link already moved
+/// onto it — then moves the member's links onto the representative and
+/// removes the member. Returns the number of nodes folded away.
+std::uint64_t merge_classes(Rsg& g, const std::vector<NodeRef>& refs,
+                            support::UnionFind& uf) {
+  std::vector<std::vector<NodeRef>> classes(g.node_capacity());
+  for (const NodeRef n : refs) classes[uf.find(n)].push_back(n);
+
+  std::uint64_t folded = 0;
+  for (const auto& members : classes) {
+    if (members.size() < 2) continue;
+    const NodeRef rep = members[0];
+    for (std::size_t k = 1; k < members.size(); ++k) {
+      const NodeRef other = members[k];
+      g.props(rep) = merge_node_props(g.props(rep), g.out_selectors(rep),
+                                      g.props(other), g.out_selectors(other),
+                                      /*same_configuration=*/true);
+      for (const Link& l : g.out_links(other))
+        g.add_link(rep, l.sel, l.target == other ? rep : l.target);
+      for (const InLink& in : g.in_links(other)) {
+        if (in.source == other) continue;
+        g.add_link(in.source, in.sel, rep);
+      }
+      // Summarized nodes are never pvar-referenced (their zero-length SPATHs
+      // would differ), so no PL rewrite is needed; remove_node asserts that
+      // indirectly by dropping any stale PL entry.
+      g.remove_node(other);
+      ++folded;
+    }
+  }
+  return folded;
+}
+
 /// One summarization sweep; returns true when something was merged.
 bool compress_once(Rsg& g, const LevelPolicy& policy) {
   const auto refs = g.node_refs();
@@ -28,53 +64,8 @@ bool compress_once(Rsg& g, const LevelPolicy& policy) {
   }
   if (!any) return false;
 
-  // Collect the classes with more than one member.
-  std::vector<std::vector<NodeRef>> classes(g.node_capacity());
-  for (const NodeRef n : refs) classes[uf.find(n)].push_back(n);
-
-  std::uint64_t merged_nodes = 0;
-  for (const auto& members : classes) {
-    if (members.size() < 2) continue;
-    merged_nodes += members.size() - 1;
-    const NodeRef rep = members[0];
-
-    // MERGE_COMP_NODES: fold the members' properties pairwise, in ascending
-    // node order, against the original graph's links.
-    NodeProps merged = g.props(rep);
-    Rsg snapshot = g;  // link context for the cycle-link merge rule
-    for (std::size_t k = 1; k < members.size(); ++k) {
-      // Accumulate into `rep` inside the snapshot so the k-th merge sees the
-      // links of the already-merged group.
-      const NodeRef other = members[k];
-      merged = merge_node_props(snapshot, rep, snapshot, other,
-                                /*same_configuration=*/true);
-      for (const Link& l : snapshot.out_links(other))
-        snapshot.add_link(rep, l.sel, l.target == other ? rep : l.target);
-      for (const InLink& in : snapshot.in_links(other)) {
-        if (in.source == other) continue;
-        snapshot.add_link(in.source, in.sel, rep);
-      }
-      snapshot.props(rep) = merged;
-      snapshot.remove_node(other);
-    }
-
-    // Apply to the real graph: remap all members' links and PL onto rep.
-    for (std::size_t k = 1; k < members.size(); ++k) {
-      const NodeRef other = members[k];
-      for (const Link& l : g.out_links(other))
-        g.add_link(rep, l.sel, l.target == other ? rep : l.target);
-      for (const InLink& in : g.in_links(other)) {
-        if (in.source == other) continue;
-        g.add_link(in.source, in.sel, rep);
-      }
-      // Summarized nodes are never pvar-referenced (their zero-length SPATHs
-      // would differ), so no PL rewrite is needed; remove_node asserts that
-      // indirectly by dropping any stale PL entry.
-      g.remove_node(other);
-    }
-    g.props(rep) = merged;
-  }
-  PSA_COUNT_N(support::Counter::kCompressMerges, merged_nodes);
+  const std::uint64_t folded = merge_classes(g, refs, uf);
+  PSA_COUNT_N(support::Counter::kCompressMerges, folded);
   return true;
 }
 
@@ -117,26 +108,7 @@ void coarsen(Rsg& g, const LevelPolicy& policy) {
     }
   }
 
-  std::vector<std::vector<NodeRef>> classes(g.node_capacity());
-  for (const NodeRef n : refs) classes[uf.find(n)].push_back(n);
-
-  for (const auto& members : classes) {
-    if (members.size() < 2) continue;
-    const NodeRef rep = members[0];
-    NodeProps merged = g.props(rep);
-    for (std::size_t k = 1; k < members.size(); ++k) {
-      const NodeRef other = members[k];
-      merged = merge_node_props(g, rep, g, other, /*same_configuration=*/true);
-      for (const Link& l : g.out_links(other))
-        g.add_link(rep, l.sel, l.target == other ? rep : l.target);
-      for (const InLink& in : g.in_links(other)) {
-        if (in.source == other) continue;
-        g.add_link(in.source, in.sel, rep);
-      }
-      g.props(rep) = merged;
-      g.remove_node(other);
-    }
-  }
+  (void)merge_classes(g, refs, uf);
 
   refine_sharing(g);
   compress(g, policy);
@@ -180,21 +152,30 @@ void summarize_region(Rsg& g, const std::vector<NodeRef>& region,
     if (g.pvars_of(n).empty()) p.cardinality = Cardinality::kMany;
   }
   // Saturate the may-structure (see ops.hpp) within the region: every
-  // *type-correct* link between region cells is present. Links from outside
-  // the region into it survive untouched — the unknown code cannot create a
-  // link whose *source* cell it cannot reach, so no outside-in saturation is
-  // needed.
+  // *type-correct* link between region cells is present, and every selector
+  // field of a region cell may be non-NULL. Links from outside the region
+  // into it survive untouched — the unknown code cannot create a link whose
+  // *source* cell it cannot reach, so no outside-in saturation is needed.
   if (types != nullptr) {
     for (const NodeRef a : region) {
-      const lang::StructDecl& decl = types->struct_decl(g.props(a).type);
-      for (const lang::Field& f : decl.fields) {
-        if (!f.is_selector()) continue;
+      for (const lang::Field& f : types->struct_decl(g.props(a).type).fields)
+        if (f.is_selector()) g.props(a).pos_selout.insert(f.name);
+    }
+    saturate_links(g, region, region, *types);
+  }
+}
+
+void saturate_links(Rsg& g, const std::vector<NodeRef>& sources,
+                    const std::vector<NodeRef>& targets,
+                    const lang::TypeTable& types) {
+  for (const NodeRef a : sources) {
+    for (const lang::Field& f : types.struct_decl(g.props(a).type).fields) {
+      if (!f.is_selector()) continue;
+      for (const NodeRef b : targets) {
+        if (g.props(b).type != *f.type.struct_id) continue;
+        g.add_link(a, f.name, b);
         g.props(a).pos_selout.insert(f.name);
-        for (const NodeRef b : region) {
-          if (g.props(b).type != *f.type.struct_id) continue;
-          g.add_link(a, f.name, b);
-          g.props(b).pos_selin.insert(f.name);
-        }
+        g.props(b).pos_selin.insert(f.name);
       }
     }
   }

@@ -96,26 +96,22 @@ Rsg join_impl(const Rsg& a, const Rsg& b, const LevelPolicy& policy,
     const auto& members = classes[rep];
     if (members.empty()) continue;
 
-    // Fold the members' properties.
+    // Fold the members' properties. The folded side's out-selectors are
+    // the union over the members folded so far, each in its own graph.
     NodeProps props = member_graph(members[0]).props(member_ref(members[0]));
+    SmallSet<Symbol> out_sels;
+    if (members.size() > 1)
+      out_sels = member_graph(members[0]).out_selectors(member_ref(members[0]));
     std::size_t from_a = members[0] < refs_a.size() ? 1 : 0;
     std::size_t from_b = 1 - from_a;
     for (std::size_t k = 1; k < members.size(); ++k) {
       const std::size_t m = members[k];
       (m < refs_a.size() ? from_a : from_b) += 1;
-      // The cycle-link merge rule consults each node's own out-links in its
-      // own graph; fold against a one-node scratch graph carrying `props`.
-      Rsg scratch;
-      const NodeRef sn = scratch.add_node(props);
-      // Reconstruct the accumulated out-selector set: union over processed
-      // members (sufficient for the has-out-selector test).
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const std::size_t mm = members[kk];
-        for (const Link& l : member_graph(mm).out_links(member_ref(mm)))
-          scratch.add_link(sn, l.sel, sn);
-      }
-      props = merge_node_props(scratch, sn, member_graph(m), member_ref(m),
-                               /*same_configuration=*/false);
+      const Rsg& mg = member_graph(m);
+      const SmallSet<Symbol> m_sels = mg.out_selectors(member_ref(m));
+      props = merge_node_props(props, out_sels, mg.props(member_ref(m)),
+                               m_sels, /*same_configuration=*/false);
+      out_sels = set_union(out_sels, m_sels);
     }
     // Cardinality across configurations: `one` survives only when no single
     // configuration contributes two nodes and no member is a summary.

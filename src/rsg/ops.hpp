@@ -132,4 +132,13 @@ void summarize_region(Rsg& g, const std::vector<NodeRef>& region,
                       const std::vector<Symbol>& selectors,
                       const lang::TypeTable* types = nullptr);
 
+/// Type-correct link saturation, the may-structure every ⊤ widening above
+/// and the kCall/kHavoc transfers build on: add each link <a, f, b> with a
+/// in `sources`, f a selector field of a's struct and b in `targets` of f's
+/// pointee struct, with PosSELOUT(a, f) and PosSELIN(b, f) to match. Sound
+/// for the same reason as the widenings: may-information only grows.
+void saturate_links(Rsg& g, const std::vector<NodeRef>& sources,
+                    const std::vector<NodeRef>& targets,
+                    const lang::TypeTable& types);
+
 }  // namespace psa::rsg

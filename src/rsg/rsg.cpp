@@ -4,6 +4,8 @@
 #include <cassert>
 #include <sstream>
 
+#include "support/union_find.hpp"
+
 namespace psa::rsg {
 
 Rsg::Rsg() { support::MemoryStats::instance().note_graph_created(); }
@@ -160,43 +162,24 @@ SmallSet<SimplePath> Rsg::spath1(NodeRef n) const {
 
 std::vector<NodeRef> Rsg::components() const {
   // Union-find over undirected link adjacency.
-  std::vector<NodeRef> parent(nodes_.size());
-  for (NodeRef i = 0; i < nodes_.size(); ++i)
-    parent[i] = nodes_[i].alive ? i : kNoNode;
-
-  auto find = [&](NodeRef a) {
-    while (parent[a] != a) {
-      parent[a] = parent[parent[a]];
-      a = parent[a];
-    }
-    return a;
-  };
-  auto unite = [&](NodeRef a, NodeRef b) {
-    a = find(a);
-    b = find(b);
-    if (a == b) return;
-    if (a > b) std::swap(a, b);
-    parent[b] = a;  // smaller ref becomes the representative
-  };
-
+  support::UnionFind uf(nodes_.size());
   for (NodeRef i = 0; i < nodes_.size(); ++i) {
     if (!nodes_[i].alive) continue;
-    for (const Link& l : nodes_[i].out) unite(i, l.target);
+    for (const Link& l : nodes_[i].out) uf.unite(i, l.target);
   }
-
   std::vector<NodeRef> comp(nodes_.size(), kNoNode);
   for (NodeRef i = 0; i < nodes_.size(); ++i)
-    if (nodes_[i].alive) comp[i] = find(i);
+    if (nodes_[i].alive) comp[i] = static_cast<NodeRef>(uf.find(i));
   return comp;
 }
 
-std::vector<bool> Rsg::reachable_from_pvars() const {
+std::vector<bool> Rsg::reachable_from(const std::vector<NodeRef>& roots) const {
   std::vector<bool> seen(nodes_.size(), false);
   std::vector<NodeRef> work;
-  for (const auto& [pvar, n] : pl_) {
-    if (!seen[n]) {
-      seen[n] = true;
-      work.push_back(n);
+  for (const NodeRef r : roots) {
+    if (!seen[r]) {
+      seen[r] = true;
+      work.push_back(r);
     }
   }
   while (!work.empty()) {
@@ -210,6 +193,19 @@ std::vector<bool> Rsg::reachable_from_pvars() const {
     }
   }
   return seen;
+}
+
+std::vector<bool> Rsg::reachable_from_pvars() const {
+  std::vector<NodeRef> roots;
+  roots.reserve(pl_.size());
+  for (const auto& [pvar, n] : pl_) roots.push_back(n);
+  return reachable_from(roots);
+}
+
+SmallSet<Symbol> Rsg::out_selectors(NodeRef n) const {
+  SmallSet<Symbol> out;
+  for (const Link& l : nodes_[n].out) out.insert(l.sel);
+  return out;
 }
 
 int Rsg::max_in_refs(NodeRef to, Symbol sel) const {

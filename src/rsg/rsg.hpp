@@ -114,8 +114,14 @@ class Rsg {
   /// STRUCTURE: weakly-connected-component id per node slot (dead slots get
   /// kNoNode). Ids are the smallest member ref of the component.
   [[nodiscard]] std::vector<NodeRef> components() const;
-  /// Forward reachability from the pvars (alive slots only).
+  /// Forward reachability over may-links from `roots` (alive refs;
+  /// duplicates allowed): true per node slot reached, roots included.
+  [[nodiscard]] std::vector<bool> reachable_from(
+      const std::vector<NodeRef>& roots) const;
+  /// reachable_from the pvars' targets.
   [[nodiscard]] std::vector<bool> reachable_from_pvars() const;
+  /// Selectors of n's out-links, ascending.
+  [[nodiscard]] SmallSet<Symbol> out_selectors(NodeRef n) const;
 
   /// Upper bound on the number of distinct heap references to locations of
   /// `to` via `sel` (2 stands for "2 or more"): a link from a cardinality-one

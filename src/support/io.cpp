@@ -5,7 +5,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <new>
+#include <sstream>
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -262,6 +264,14 @@ bool write_all(int fd, std::string_view bytes) {
     bytes.remove_prefix(static_cast<std::size_t>(n));
   }
   return true;
+}
+
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return std::move(buffer).str();
 }
 
 std::uint64_t ops_issued() {

@@ -46,6 +46,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -105,5 +106,10 @@ void ensure_initialized();
 /// number, is never faulted or traced, and does not fsync (the batch
 /// worker's result pipe uses it).
 [[nodiscard]] bool write_all(int fd, std::string_view bytes);
+
+/// The whole content of the file at `path`; nullopt when it cannot be
+/// opened. A read, so not a durable op either: no op number, never faulted
+/// or traced.
+[[nodiscard]] std::optional<std::string> read_file(const std::string& path);
 
 }  // namespace psa::support::io

@@ -55,7 +55,6 @@ TEST_F(CheckpointTest, OutcomeRoundTripsThroughResume) {
   const std::string key = unit_key(unit("prog"));
   {
     Checkpoint ckpt(dir_, /*resume=*/false);
-    (void)ckpt.record_attempt(key, 1);
     UnitOutcome outcome;
     outcome.kind = UnitOutcomeKind::kCrash;
     outcome.signal = 6;
@@ -196,6 +195,40 @@ TEST_F(CheckpointTest, UnknownAndGarbageLinesAreSkipped) {
   EXPECT_EQ(resumed.replayed_outcome("key-with-no-fields"), nullptr);
 }
 
+TEST_F(CheckpointTest, OlderJournalsWithAttemptRecordsStillReplay) {
+  // Journals written before attempt records were dropped interleave
+  // `attempt <key> <n>` lines with the outcomes; replay skips them like any
+  // unknown line and still finds the last outcome per key.
+  fs::create_directories(dir_);
+  {
+    std::ofstream journal((fs::path(dir_) / "journal.psaj").string(),
+                          std::ios::binary);
+    journal << "psa-journal v1\n"
+            << "attempt prog-def7d61a 1\n"
+            << "outcome prog-def7d61a crash 0 11 1 0 \n"
+            << "attempt prog-def7d61a 2\n"
+            << "outcome prog-def7d61a ok 0 0 2 0 \n"
+            << "attempt other-0badf00d 1\n";
+  }
+  Checkpoint resumed(dir_, /*resume=*/true);
+  const UnitOutcome* replayed = resumed.replayed_outcome("prog-def7d61a");
+  ASSERT_NE(replayed, nullptr);
+  EXPECT_EQ(replayed->kind, UnitOutcomeKind::kOk);
+  EXPECT_EQ(replayed->attempts, 2);
+  EXPECT_EQ(resumed.replayed_outcome("other-0badf00d"), nullptr);
+}
+
+TEST_F(CheckpointTest, UnitKeysCoverTheSourceBytes) {
+  AnalysisUnit original = unit("a.c");
+  original.source = "void main() { }\n";
+  AnalysisUnit edited = original;
+  edited.source += "\n";
+  EXPECT_NE(unit_key(original), unit_key(edited));
+  // A unit without source bytes (its file could not be read) keeps a key of
+  // its own.
+  EXPECT_NE(unit_key(unit("a.c")), unit_key(original));
+}
+
 TEST_F(CheckpointTest, FreshRunClearsStaleJournalAndSnapshots) {
   const std::string key = unit_key(unit("prog"));
   {
@@ -273,7 +306,6 @@ TEST_F(CheckpointTest, UnwritableJournalDegradesAndStaysResumable) {
     }
     EXPECT_TRUE(noted);
     // Every record honestly reports it is not durable; nothing throws.
-    EXPECT_FALSE(ckpt.record_attempt(key, 1));
     UnitOutcome outcome;
     EXPECT_FALSE(ckpt.record_outcome(key, outcome));
   }
@@ -284,7 +316,6 @@ TEST_F(CheckpointTest, UnwritableJournalDegradesAndStaysResumable) {
   {
     Checkpoint resumed(dir_, /*resume=*/true);
     EXPECT_EQ(resumed.replayed_outcome(key), nullptr);
-    EXPECT_TRUE(resumed.record_attempt(key, 1));
     UnitOutcome outcome;
     outcome.kind = UnitOutcomeKind::kOk;
     EXPECT_TRUE(resumed.record_outcome(key, outcome));
@@ -298,6 +329,7 @@ TEST_F(CheckpointTest, UnwritableJournalDegradesAndStaysResumable) {
 TEST_F(CheckpointTest, TransientJournalFaultLosesOneRecordNotTheJournal) {
   const std::string key_a = unit_key(unit("a"));
   const std::string key_b = unit_key(unit("b"));
+  const std::string key_c = unit_key(unit("c"));
   Checkpoint ckpt(dir_, /*resume=*/false);
   UnitOutcome outcome;
   outcome.kind = UnitOutcomeKind::kOk;
@@ -309,11 +341,12 @@ TEST_F(CheckpointTest, TransientJournalFaultLosesOneRecordNotTheJournal) {
   ::setenv("PSA_IO_FAULT", "@journal.psaj:enospc", 1);
   EXPECT_FALSE(ckpt.record_outcome(key_b, outcome));
   ::unsetenv("PSA_IO_FAULT");
-  ASSERT_TRUE(ckpt.record_attempt(key_b, 2));
+  ASSERT_TRUE(ckpt.record_outcome(key_c, outcome));
 
   Checkpoint resumed(dir_, /*resume=*/true);
   ASSERT_NE(resumed.replayed_outcome(key_a), nullptr);  // neighbors intact
   EXPECT_EQ(resumed.replayed_outcome(key_b), nullptr);  // lost => re-run
+  ASSERT_NE(resumed.replayed_outcome(key_c), nullptr);
 }
 
 }  // namespace

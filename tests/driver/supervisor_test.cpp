@@ -326,6 +326,45 @@ TEST_F(CheckpointedBatch, ResumeReRunsUnfinishedUnits) {
   EXPECT_EQ(batch_exit_code(resumed), kExitOk);
 }
 
+TEST_F(CheckpointedBatch, ResumeReRunsAUnitWhoseSourceWasEdited) {
+  // A checkpointed file edited before --resume is a new unit: its key covers
+  // the source bytes, so the resume re-runs it and reports what a fresh run
+  // reports instead of serving the old result.
+  const std::string path = dir_ + "-a.c";
+  const auto write_source = [&](std::string_view body) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "struct node { struct node *nxt; };\n"
+           "void main() {\n"
+           "  struct node *p;\n"
+           "  p = malloc(sizeof(struct node));\n"
+        << body << "  p->nxt = NULL;\n}\n";
+  };
+  AnalysisUnit unit;
+  unit.name = "a.c";
+  unit.source_path = path;
+  BatchOptions options = quiet_options();
+  options.check = true;
+  options.checkpoint_dir = dir_;
+  write_source("");
+  const BatchResult first = run_batch({unit}, options);
+  ASSERT_EQ(first.units[0].outcome.kind, UnitOutcomeKind::kOk);
+
+  write_source("  free(p);\n");
+  options.resume = true;
+  const BatchResult resumed = run_batch({unit}, options);
+  EXPECT_FALSE(resumed.units[0].outcome.from_checkpoint);
+
+  BatchOptions fresh_options = quiet_options();
+  fresh_options.check = true;
+  const BatchResult fresh = run_batch({unit}, fresh_options);
+  fs::remove(path);
+  ASSERT_TRUE(fresh.units[0].payload.has_value());
+  EXPECT_EQ(checker::count_findings(fresh.units[0].payload->findings,
+                                    checker::CheckKind::kUseAfterFree),
+            1u);
+  EXPECT_EQ(format_batch_report(resumed), format_batch_report(fresh));
+}
+
 TEST_F(CheckpointedBatch, ResumeReplaysQuarantinedOutcomeWithoutReRunning) {
   BatchOptions options = quiet_options();
   options.checkpoint_dir = dir_;

@@ -147,6 +147,33 @@ TEST(JoinTest, LinksOfBothInputsPreserved) {
   EXPECT_FALSE(joined.sel_targets(xn, a.sym("rgt")).empty());
 }
 
+TEST(JoinTest, ClassFoldsCycleLinksAgainstTheRunningOutSelectors) {
+  // The class {a1, a2, b1} folds in index order (a's nodes first): only the
+  // middle member a2 has an nxt out-link, and the last member b1 carries
+  // <nxt,prv>. The folded side's out-selectors are the union over the
+  // members folded so far, which has nxt by then, so the joined node drops
+  // the pair.
+  RsgBuilder a;
+  const NodeRef ha = a.node();
+  const NodeRef a1 = a.node();
+  const NodeRef a2 = a.node();
+  a.pvar("x", ha).link(ha, "lnk", a1).link(ha, "lnk", a2);
+  a.link(a2, "nxt", a1);
+  RsgBuilder b(a.interner_ptr());
+  const NodeRef hb = b.node();
+  const NodeRef b1 = b.node();
+  b.pvar("x", hb).link(hb, "lnk", b1).cyclelink(b1, "nxt", "prv");
+
+  const Rsg joined = join(a.g, b.g, kL1);
+  ASSERT_EQ(joined.node_count(), 2u);
+  const auto summary =
+      joined.sel_targets(joined.pvar_target(a.sym("x")), a.sym("lnk"));
+  ASSERT_EQ(summary.size(), 1u);
+  EXPECT_EQ(joined.props(summary[0]).cardinality, Cardinality::kMany);
+  EXPECT_FALSE(joined.props(summary[0]).cyclelinks.contains(
+      SelPair{a.sym("nxt"), a.sym("prv")}));
+}
+
 TEST(ForceJoinTest, FusesIncompatibleAliasEqualGraphs) {
   RsgBuilder a;
   const NodeRef na = a.node();

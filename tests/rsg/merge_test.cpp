@@ -9,13 +9,21 @@ namespace {
 
 using psa::testing::RsgBuilder;
 
+/// MERGE_NODES of two nodes of an RsgBuilder graph, each side with the
+/// selectors of its own out-links.
+NodeProps merge(const RsgBuilder& b, NodeRef x, NodeRef y,
+                bool same_configuration) {
+  return merge_node_props(b.g.props(x), b.g.out_selectors(x), b.g.props(y),
+                          b.g.out_selectors(y), same_configuration);
+}
+
 TEST(MergeNodesTest, DefiniteSetsIntersect) {
   RsgBuilder b;
   const NodeRef a = b.node();
   const NodeRef c = b.node();
   b.selin(a, "nxt").selin(a, "prv");
   b.selin(c, "nxt");
-  const NodeProps m = merge_node_props(b.g, a, b.g, c, true);
+  const NodeProps m = merge(b, a, c, true);
   EXPECT_TRUE(m.selin.contains(b.sym("nxt")));
   EXPECT_FALSE(m.selin.contains(b.sym("prv")));
   // prv moves to the possible set: SELIN(n1) ∪ ... minus the new SELIN.
@@ -28,7 +36,7 @@ TEST(MergeNodesTest, PossibleSetsAccumulate) {
   const NodeRef c = b.node();
   b.pos_selout(a, "lft");
   b.pos_selout(c, "rgt");
-  const NodeProps m = merge_node_props(b.g, a, b.g, c, true);
+  const NodeProps m = merge(b, a, c, true);
   EXPECT_TRUE(m.pos_selout.contains(b.sym("lft")));
   EXPECT_TRUE(m.pos_selout.contains(b.sym("rgt")));
   EXPECT_TRUE(m.selout.empty());
@@ -41,7 +49,7 @@ TEST(MergeNodesTest, DefiniteAndPossibleStayDisjoint) {
   b.selout(a, "nxt");
   b.selout(c, "nxt");
   b.pos_selout(a, "prv");
-  const NodeProps m = merge_node_props(b.g, a, b.g, c, true);
+  const NodeProps m = merge(b, a, c, true);
   EXPECT_TRUE(m.selout.contains(b.sym("nxt")));
   EXPECT_FALSE(m.pos_selout.contains(b.sym("nxt")));
   EXPECT_TRUE(m.pos_selout.contains(b.sym("prv")));
@@ -54,7 +62,7 @@ TEST(MergeNodesTest, SharedGrowsTouchShrinks) {
   b.shared(a);
   b.touch(a, "p").touch(a, "q");
   b.touch(c, "p");
-  const NodeProps m = merge_node_props(b.g, a, b.g, c, true);
+  const NodeProps m = merge(b, a, c, true);
   EXPECT_TRUE(m.shared);
   EXPECT_TRUE(m.touch.contains(b.sym("p")));
   EXPECT_FALSE(m.touch.contains(b.sym("q")));  // definite info: intersection
@@ -66,7 +74,7 @@ TEST(MergeNodesTest, ShselUnions) {
   const NodeRef c = b.node();
   b.shsel(a, "nxt");
   b.shsel(c, "prv");
-  const NodeProps m = merge_node_props(b.g, a, b.g, c, true);
+  const NodeProps m = merge(b, a, c, true);
   EXPECT_TRUE(m.shsel.contains(b.sym("nxt")));
   EXPECT_TRUE(m.shsel.contains(b.sym("prv")));
 }
@@ -77,7 +85,7 @@ TEST(MergeNodesTest, CommonCycleLinksKept) {
   const NodeRef c = b.node();
   b.cyclelink(a, "nxt", "prv");
   b.cyclelink(c, "nxt", "prv");
-  const NodeProps m = merge_node_props(b.g, a, b.g, c, true);
+  const NodeProps m = merge(b, a, c, true);
   EXPECT_TRUE(m.cyclelinks.contains(SelPair{b.sym("nxt"), b.sym("prv")}));
 }
 
@@ -88,7 +96,7 @@ TEST(MergeNodesTest, VacuousCycleLinkKept) {
   const NodeRef a = b.node();
   const NodeRef c = b.node();
   b.cyclelink(a, "nxt", "prv");
-  const NodeProps m = merge_node_props(b.g, a, b.g, c, true);
+  const NodeProps m = merge(b, a, c, true);
   EXPECT_TRUE(m.cyclelinks.contains(SelPair{b.sym("nxt"), b.sym("prv")}));
 }
 
@@ -101,15 +109,34 @@ TEST(MergeNodesTest, ContradictedCycleLinkDropped) {
   const NodeRef d = b.node();
   b.cyclelink(a, "nxt", "prv");
   b.link(c, "nxt", d);
-  const NodeProps m = merge_node_props(b.g, a, b.g, c, true);
+  const NodeProps m = merge(b, a, c, true);
   EXPECT_FALSE(m.cyclelinks.contains(SelPair{b.sym("nxt"), b.sym("prv")}));
+}
+
+TEST(MergeNodesTest, OutSelectorSetsDecideCycleLinks) {
+  // The rule reads only each side's out-selector set, however it was
+  // obtained: a folded side passes the union over its folded members.
+  RsgBuilder b;
+  const NodeRef a = b.node();
+  const NodeRef c = b.node();
+  b.cyclelink(c, "nxt", "prv");
+  const SmallSet<Symbol> none;
+  const SmallSet<Symbol> nxt{b.sym("nxt")};
+  const SelPair pair{b.sym("nxt"), b.sym("prv")};
+  EXPECT_TRUE(merge_node_props(b.g.props(a), none, b.g.props(c), none, true)
+                  .cyclelinks.contains(pair));
+  EXPECT_FALSE(merge_node_props(b.g.props(a), nxt, b.g.props(c), none, true)
+                   .cyclelinks.contains(pair));
+  // c's own out-selectors never veto its own pair.
+  EXPECT_TRUE(merge_node_props(b.g.props(a), none, b.g.props(c), nxt, true)
+                  .cyclelinks.contains(pair));
 }
 
 TEST(MergeNodesTest, SameConfigurationAlwaysSummary) {
   RsgBuilder b;
   const NodeRef a = b.node(Cardinality::kOne);
   const NodeRef c = b.node(Cardinality::kOne);
-  EXPECT_EQ(merge_node_props(b.g, a, b.g, c, true).cardinality,
+  EXPECT_EQ(merge(b, a, c, true).cardinality,
             Cardinality::kMany);
 }
 
@@ -117,7 +144,7 @@ TEST(MergeNodesTest, CrossConfigurationOnePlusOneStaysOne) {
   RsgBuilder b;
   const NodeRef a = b.node(Cardinality::kOne);
   const NodeRef c = b.node(Cardinality::kOne);
-  EXPECT_EQ(merge_node_props(b.g, a, b.g, c, false).cardinality,
+  EXPECT_EQ(merge(b, a, c, false).cardinality,
             Cardinality::kOne);
 }
 
@@ -125,7 +152,7 @@ TEST(MergeNodesTest, ManyIsInfectious) {
   RsgBuilder b;
   const NodeRef a = b.node(Cardinality::kOne);
   const NodeRef c = b.node(Cardinality::kMany);
-  EXPECT_EQ(merge_node_props(b.g, a, b.g, c, false).cardinality,
+  EXPECT_EQ(merge(b, a, c, false).cardinality,
             Cardinality::kMany);
 }
 
@@ -135,8 +162,8 @@ TEST(MergeNodesTest, MergeIsCommutativeOnProperties) {
   const NodeRef c = b.node();
   b.selin(a, "nxt").pos_selin(a, "prv").shsel(a, "nxt");
   b.selin(c, "prv").pos_selout(c, "nxt").shared(c);
-  const NodeProps ac = merge_node_props(b.g, a, b.g, c, true);
-  const NodeProps ca = merge_node_props(b.g, c, b.g, a, true);
+  const NodeProps ac = merge(b, a, c, true);
+  const NodeProps ca = merge(b, c, a, true);
   EXPECT_EQ(ac.selin, ca.selin);
   EXPECT_EQ(ac.selout, ca.selout);
   EXPECT_EQ(ac.pos_selin, ca.pos_selin);

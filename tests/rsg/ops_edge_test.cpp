@@ -76,6 +76,31 @@ TEST(OpsEdgeTest, CompressChainsCompatibility) {
   EXPECT_EQ(b.g.node_count(), 2u);
 }
 
+TEST(OpsEdgeTest, CompressFoldsCycleLinksAgainstTheGrowingClass) {
+  // One class of three nodes, folded into the first in ascending order:
+  // only the middle member has an nxt out-link, and the last carries
+  // <nxt,prv>. By the last fold the representative owns the middle's nxt
+  // link, so the pair no longer holds vacuously for it: the summary drops
+  // it.
+  RsgBuilder b;
+  const NodeRef h = b.node();
+  const NodeRef first = b.node();
+  const NodeRef middle = b.node();
+  const NodeRef last = b.node();
+  b.pvar("x", h);
+  for (const NodeRef n : {first, middle, last}) b.link(h, "lnk", n);
+  b.link(middle, "nxt", last);
+  b.cyclelink(last, "nxt", "prv");
+  compress(b.g, kL1);
+  ASSERT_EQ(b.g.node_count(), 2u);
+  const auto summary =
+      b.g.sel_targets(b.g.pvar_target(b.sym("x")), b.sym("lnk"));
+  ASSERT_EQ(summary.size(), 1u);
+  EXPECT_EQ(b.g.props(summary[0]).cardinality, Cardinality::kMany);
+  EXPECT_FALSE(b.g.props(summary[0]).cyclelinks.contains(
+      SelPair{b.sym("nxt"), b.sym("prv")}));
+}
+
 TEST(OpsEdgeTest, CompressRespectsLevel) {
   // The node one step from the pvar merges with deeper nodes at L1 only.
   auto build = [](RsgBuilder& b) {

@@ -301,5 +301,27 @@ TEST(RsgTest, ReachableFromPvars) {
   EXPECT_FALSE(seen[island]);
 }
 
+TEST(RsgTest, ReachableFromSeveralRootsThroughACycle) {
+  RsgBuilder b;
+  const NodeRef a = b.node();
+  const NodeRef c = b.node();
+  const NodeRef d = b.node();
+  const NodeRef dead = b.node();
+  const NodeRef e = b.node();
+  const NodeRef island = b.node();
+  b.link(a, "nxt", c).link(c, "nxt", a);  // a cycle
+  b.link(d, "nxt", e).link(dead, "nxt", e).link(island, "nxt", d);
+  b.g.remove_node(dead);  // a dead slot below a live one
+  const auto seen = b.g.reachable_from({a, d, a});  // duplicate root
+  ASSERT_EQ(seen.size(), b.g.node_capacity());
+  EXPECT_TRUE(seen[a]);
+  EXPECT_TRUE(seen[c]);
+  EXPECT_TRUE(seen[d]);
+  EXPECT_TRUE(seen[e]);
+  EXPECT_FALSE(seen[dead]);
+  EXPECT_FALSE(seen[island]);  // links into the roots are not followed back
+  for (const bool reached : b.g.reachable_from({})) EXPECT_FALSE(reached);
+}
+
 }  // namespace
 }  // namespace psa::rsg
