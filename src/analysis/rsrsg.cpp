@@ -7,23 +7,26 @@
 
 namespace psa::analysis {
 
-void Rsrsg::ensure_keys() const {
-  if (keys_.size() == graphs_.size()) return;
-  keys_.reserve(graphs_.size());
-  for (const Rsg& g : graphs_) keys_.push_back(rsg::canonical_key(g));
+const rsg::CanonicalKey& Rsrsg::Member::key() const {
+  if (!key_) key_ = rsg::canonical_key(graph_);
+  return *key_;
+}
+
+const Rsrsg::Contexts& Rsrsg::Member::contexts() const {
+  if (!contexts_) contexts_ = rsg::compute_compat_contexts(graph_);
+  return *contexts_;
+}
+
+std::pair<Rsg, rsg::CanonicalKey> Rsrsg::Member::release(
+    std::shared_ptr<Member> member) {
+  if (member.use_count() > 1) return {member->graph_, member->key()};
+  (void)member->key();  // a restored member has none yet
+  return {std::move(member->graph_), std::move(*member->key_)};
 }
 
 bool Rsrsg::contains(const rsg::CanonicalKey& key) const {
-  return std::find(keys_.begin(), keys_.end(), key) != keys_.end();
-}
-
-const std::vector<rsg::NodeCompatContext>& Rsrsg::member_contexts(
-    std::size_t i) const {
-  if (contexts_[i] == nullptr) {
-    contexts_[i] = std::make_shared<const std::vector<rsg::NodeCompatContext>>(
-        rsg::compute_compat_contexts(graphs_[i]));
-  }
-  return *contexts_[i];
+  return std::any_of(members_.begin(), members_.end(),
+                     [&](const auto& m) { return m->key() == key; });
 }
 
 bool Rsrsg::fold_widened(Rsg g, const LevelPolicy& policy) {
@@ -32,68 +35,58 @@ bool Rsrsg::fold_widened(Rsg g, const LevelPolicy& policy) {
   rsg::coarsen(g, policy);
   rsg::CanonicalKey key = rsg::canonical_key(g);
   if (contains(key)) return false;
-  for (std::size_t i = 0; i < graphs_.size(); ++i) {
-    if (!rsg::alias_equal(graphs_[i], g)) continue;
-    Rsg folded = rsg::force_join(graphs_[i], g, policy);
+  for (auto& member : members_) {
+    if (!rsg::alias_equal(member->graph(), g)) continue;
+    Rsg folded = rsg::force_join(member->graph(), g, policy);
     rsg::coarsen(folded, policy);
     rsg::CanonicalKey folded_key = rsg::canonical_key(folded);
-    if (folded_key == keys_[i]) return false;  // absorbed, nothing new
-    graphs_[i] = std::move(folded);
-    keys_[i] = std::move(folded_key);
-    contexts_[i] = nullptr;
+    if (folded_key == member->key()) return false;  // absorbed, nothing new
+    member = std::make_shared<Member>(std::move(folded), std::move(folded_key));
     return true;
   }
-  graphs_.push_back(std::move(g));
-  keys_.push_back(std::move(key));
-  contexts_.push_back(nullptr);
+  members_.push_back(std::make_shared<Member>(std::move(g), std::move(key)));
   return true;
 }
 
 bool Rsrsg::insert(Rsg g, const LevelPolicy& policy, bool enable_join) {
-  ensure_keys();
   if (widened_) return fold_widened(std::move(g), policy);
   rsg::CanonicalKey key = rsg::canonical_key(g);
   if (contains(key)) return false;  // exact duplicate
 
+  // The candidate's contexts are computed once, on its first ALIAS match,
+  // and kept with it if it becomes a member.
+  std::optional<Contexts> g_ctx;
   if (enable_join) {
     // Fuse into the first compatible member; the join may enable further
-    // fusions, so re-insert the result. Candidate contexts are computed once
-    // and member contexts cached across inserts.
-    std::shared_ptr<const std::vector<rsg::NodeCompatContext>> g_ctx;
-    for (std::size_t i = 0; i < graphs_.size(); ++i) {
+    // fusions, so re-insert the result.
+    for (std::size_t i = 0; i < members_.size(); ++i) {
+      const Member& member = *members_[i];
       PSA_COUNT(support::Counter::kJoinAttempts);
-      if (!rsg::alias_equal(graphs_[i], g)) {  // cheap pre-filter
+      if (!rsg::alias_equal(member.graph(), g)) {  // cheap pre-filter
         PSA_COUNT(support::Counter::kJoinRejectedAlias);
         continue;
       }
-      if (g_ctx == nullptr) {
-        g_ctx = std::make_shared<const std::vector<rsg::NodeCompatContext>>(
-            rsg::compute_compat_contexts(g));
-      }
-      if (!rsg::compatible_with_contexts(graphs_[i], member_contexts(i), g,
+      if (!g_ctx) g_ctx = rsg::compute_compat_contexts(g);
+      if (!rsg::compatible_with_contexts(member.graph(), member.contexts(), g,
                                          *g_ctx, policy)) {
         PSA_COUNT(support::Counter::kJoinRejectedCompat);
       } else {
         PSA_COUNT(support::Counter::kJoinAccepts);
-        Rsg joined = rsg::join(graphs_[i], g, policy);
-        const auto at = static_cast<std::ptrdiff_t>(i);
-        graphs_.erase(graphs_.begin() + at);
-        keys_.erase(keys_.begin() + at);
-        contexts_.erase(contexts_.begin() + at);
+        Rsg joined = rsg::join(member.graph(), g, policy);
+        members_.erase(members_.begin() + static_cast<std::ptrdiff_t>(i));
         insert(std::move(joined), policy, enable_join);
         return true;  // the set changed even if the join was absorbing
       }
     }
   }
 
-  graphs_.push_back(std::move(g));
-  keys_.push_back(std::move(key));
-  contexts_.push_back(nullptr);
+  members_.push_back(
+      std::make_shared<Member>(std::move(g), std::move(key), std::move(g_ctx)));
   return true;
 }
 
 bool Rsrsg::widen(const LevelPolicy& policy, std::size_t max_graphs) {
-  if (widened_ && graphs_.size() <= max_graphs) return false;
+  if (widened_ && members_.size() <= max_graphs) return false;
   // Re-insert every member through the widened-mode path: coarsen, then fold
   // ALIAS-equal members together. The result has at most one member per
   // ALIAS relation.
@@ -107,15 +100,15 @@ bool Rsrsg::degrade_members(const LevelPolicy& policy,
 
 bool Rsrsg::reinsert_members(const LevelPolicy& policy,
                              const std::function<void(Rsg&)>& transform) {
-  ensure_keys();
   const bool was_widened = widened_;
   widened_ = true;
-  std::vector<Rsg> members;
-  members.swap(graphs_);
+  Members old;
+  old.swap(members_);
   std::vector<rsg::CanonicalKey> old_keys;
-  old_keys.swap(keys_);
-  contexts_.clear();
-  for (Rsg& g : members) {
+  old_keys.reserve(old.size());
+  for (auto& member : old) {
+    auto [g, key] = Member::release(std::move(member));
+    old_keys.push_back(std::move(key));
     if (transform) transform(g);
     insert(std::move(g), policy, /*enable_join=*/true);
   }
@@ -126,42 +119,50 @@ bool Rsrsg::reinsert_members(const LevelPolicy& policy,
   // its successors forever. Same cardinality: changed iff some member's key
   // moved (order-sensitive and thus conservative — a spurious `true` only
   // requeues the successors once more).
-  return !was_widened || keys_ != old_keys;
+  return !was_widened ||
+         !std::equal(members_.begin(), members_.end(), old_keys.begin(),
+                     old_keys.end(),
+                     [](const auto& m, const rsg::CanonicalKey& k) {
+                       return m->key() == k;
+                     });
 }
 
 Rsrsg Rsrsg::restore(std::vector<Rsg> graphs, bool widened) {
   Rsrsg set;
   set.widened_ = widened;
-  set.graphs_ = std::move(graphs);
-  set.contexts_.assign(set.graphs_.size(), nullptr);
+  set.members_.reserve(graphs.size());
+  for (Rsg& g : graphs) {
+    set.members_.push_back(std::make_shared<Member>(std::move(g)));
+  }
   return set;
 }
 
 std::size_t Rsrsg::footprint_bytes() const {
   std::size_t bytes = 0;
-  for (const Rsg& g : graphs_) bytes += g.footprint_bytes();
+  for (const Rsg& g : graphs()) bytes += g.footprint_bytes();
   return bytes;
 }
 
 std::size_t Rsrsg::total_nodes() const {
   std::size_t n = 0;
-  for (const Rsg& g : graphs_) n += g.node_count();
+  for (const Rsg& g : graphs()) n += g.node_count();
   return n;
 }
 
 bool Rsrsg::equals(const Rsrsg& other) const {
-  if (graphs_.size() != other.graphs_.size()) return false;
-  ensure_keys();
-  other.ensure_keys();
-  // Multiset match: keys are equal iff the members are isomorphic.
-  return std::is_permutation(keys_.begin(), keys_.end(), other.keys_.begin());
+  if (members_.size() != other.members_.size()) return false;
+  // Multiset match: keys are equal iff the members are isomorphic, and a
+  // shared member is equal to itself without its key.
+  return std::is_permutation(
+      members_.begin(), members_.end(), other.members_.begin(),
+      [](const auto& a, const auto& b) { return a == b || a->key() == b->key(); });
 }
 
 std::string Rsrsg::dump(const support::Interner& interner) const {
   std::ostringstream os;
-  os << "RSRSG with " << graphs_.size() << " graph(s)\n";
-  for (std::size_t i = 0; i < graphs_.size(); ++i) {
-    os << "--- rsg " << i << " ---\n" << graphs_[i].dump(interner);
+  os << "RSRSG with " << members_.size() << " graph(s)\n";
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    os << "--- rsg " << i << " ---\n" << members_[i]->graph().dump(interner);
   }
   return os.str();
 }

@@ -7,13 +7,18 @@
 // of control paths.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rsg/canon.hpp"
+#include "rsg/compat.hpp"
 #include "rsg/level.hpp"
 #include "rsg/ops.hpp"
 #include "rsg/rsg.hpp"
@@ -24,7 +29,55 @@ using rsg::LevelPolicy;
 using rsg::Rsg;
 
 class Rsrsg {
+  class Member;
+  using Members = std::vector<std::shared_ptr<Member>>;
+
  public:
+  /// Read-only view of the member graphs in member order: size(), [] and
+  /// range-for. It refers to the set, which must outlive it.
+  class GraphView {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = Rsg;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const Rsg*;
+      using reference = const Rsg&;
+
+      iterator() = default;
+      reference operator*() const { return (*it_)->graph(); }
+      pointer operator->() const { return &(*it_)->graph(); }
+      iterator& operator++() {
+        ++it_;
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator before = *this;
+        ++it_;
+        return before;
+      }
+      friend bool operator==(const iterator&, const iterator&) = default;
+
+     private:
+      friend class GraphView;
+      explicit iterator(Members::const_iterator it) : it_(it) {}
+      Members::const_iterator it_;
+    };
+
+    [[nodiscard]] std::size_t size() const noexcept { return members_->size(); }
+    [[nodiscard]] const Rsg& operator[](std::size_t i) const {
+      return (*members_)[i]->graph();
+    }
+    [[nodiscard]] iterator begin() const { return iterator(members_->begin()); }
+    [[nodiscard]] iterator end() const { return iterator(members_->end()); }
+
+   private:
+    friend class Rsrsg;
+    explicit GraphView(const Members& members) : members_(&members) {}
+    const Members* members_;
+  };
+
   /// Insert a graph: joined into the first COMPATIBLE member (repeatedly, in
   /// case the join enables further fusions); duplicates (isomorphic members)
   /// are dropped. With `enable_join` false only exact duplicates are merged.
@@ -49,8 +102,8 @@ class Rsrsg {
   /// `deserialize(serialize(s))` must reproduce the set member-for-member,
   /// so the restore path deliberately bypasses every reduction insert()
   /// would apply. It computes no canonical keys either: most restored sets
-  /// (cache hits) are only read, so keys wait for the first insert, widen,
-  /// equals or key_at.
+  /// (cache hits) are only read, so each member's key waits for its first
+  /// use by insert, widen, equals or key_at.
   [[nodiscard]] static Rsrsg restore(std::vector<Rsg> graphs, bool widened);
 
   /// Degradation entry point for the resource governor: apply `transform` to
@@ -62,15 +115,14 @@ class Rsrsg {
   bool degrade_members(const LevelPolicy& policy,
                        const std::function<void(Rsg&)>& transform);
 
-  [[nodiscard]] std::size_t size() const noexcept { return graphs_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return graphs_.empty(); }
-  [[nodiscard]] const std::vector<Rsg>& graphs() const noexcept {
-    return graphs_;
+  [[nodiscard]] std::size_t size() const noexcept { return members_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return members_.empty(); }
+  [[nodiscard]] GraphView graphs() const noexcept {
+    return GraphView(members_);
   }
   /// Canonical key of member `i` (parallel to graphs()).
   [[nodiscard]] const rsg::CanonicalKey& key_at(std::size_t i) const {
-    ensure_keys();
-    return keys_[i];
+    return members_[i]->key();
   }
 
   [[nodiscard]] std::size_t footprint_bytes() const;
@@ -82,20 +134,42 @@ class Rsrsg {
   [[nodiscard]] std::string dump(const support::Interner& interner) const;
 
  private:
+  using Contexts = std::vector<rsg::NodeCompatContext>;
+
+  /// One member: a graph with its canonical key and its compatibility
+  /// contexts (the hot path of insert), both computed on first use. Sets
+  /// share members by handle, so copying a set copies no graph; no member
+  /// is edited once it is in a set — a mutation replaces it.
+  class Member {
+   public:
+    explicit Member(Rsg graph, std::optional<rsg::CanonicalKey> key = {},
+                    std::optional<Contexts> contexts = {})
+        : graph_(std::move(graph)),
+          key_(std::move(key)),
+          contexts_(std::move(contexts)) {}
+
+    [[nodiscard]] const Rsg& graph() const noexcept { return graph_; }
+    [[nodiscard]] const rsg::CanonicalKey& key() const;
+    [[nodiscard]] const Contexts& contexts() const;
+
+    /// The graph and key of `member`: moved out when the caller held the
+    /// only handle, copied when another set still shares it.
+    [[nodiscard]] static std::pair<Rsg, rsg::CanonicalKey> release(
+        std::shared_ptr<Member> member);
+
+   private:
+    Rsg graph_;
+    mutable std::optional<rsg::CanonicalKey> key_;
+    mutable std::optional<Contexts> contexts_;
+  };
+
   bool fold_widened(Rsg g, const LevelPolicy& policy);
   [[nodiscard]] bool contains(const rsg::CanonicalKey& key) const;
   /// Rebuild through insert() after `transform`; true when the set changed.
   bool reinsert_members(const LevelPolicy& policy,
                         const std::function<void(Rsg&)>& transform);
-  void ensure_keys() const;
-  const std::vector<rsg::NodeCompatContext>& member_contexts(std::size_t i) const;
 
-  std::vector<Rsg> graphs_;
-  /// Parallel to graphs_, or empty until ensure_keys() for a restored set.
-  mutable std::vector<rsg::CanonicalKey> keys_;
-  /// Lazily-computed compatibility contexts per member (hot path of insert).
-  mutable std::vector<std::shared_ptr<const std::vector<rsg::NodeCompatContext>>>
-      contexts_;
+  Members members_;
   bool widened_ = false;
 };
 

@@ -5,11 +5,15 @@ namespace psa::rsg {
 std::vector<NodeCompatContext> compute_compat_contexts(const Rsg& g) {
   std::vector<NodeCompatContext> out(g.node_capacity());
   const auto comps = g.components();
-  for (NodeRef n = 0; n < g.node_capacity(); ++n) {
-    if (!g.alive(n)) continue;
-    out[n].spath0 = g.spath0(n);
-    out[n].spath1 = g.spath1(n);
-    out[n].component = comps[n];
+  for (NodeRef n = 0; n < g.node_capacity(); ++n) out[n].component = comps[n];
+  // SPATH in one sweep over PL: a binding pvar -> m is the zero-length path
+  // of m and, through each out-link <m, sel, t>, the one-length path
+  // <pvar, sel> of t.
+  for (const auto& [pvar, m] : g.pvar_links()) {
+    out[m].spath0.insert(pvar);
+    for (const Link& l : g.out_links(m)) {
+      out[l.target].spath1.insert(SimplePath{pvar, l.sel});
+    }
   }
   return out;
 }

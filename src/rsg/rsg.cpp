@@ -151,15 +151,6 @@ std::size_t Rsg::link_count() const {
 
 // --- Derived -------------------------------------------------------------------
 
-SmallSet<SimplePath> Rsg::spath1(NodeRef n) const {
-  SmallSet<SimplePath> out;
-  for (const auto& [pvar, m] : pl_) {
-    for (const Link& l : nodes_[m].out)
-      if (l.target == n) out.insert(SimplePath{pvar, l.sel});
-  }
-  return out;
-}
-
 std::vector<NodeRef> Rsg::components() const {
   // Union-find over undirected link adjacency.
   support::UnionFind uf(nodes_.size());

@@ -107,10 +107,9 @@ class Rsg {
 
   // --- Derived properties ------------------------------------------------------
 
-  /// Zero-length simple paths: pvars bound to n.
+  /// Zero-length simple paths: pvars bound to n. Both SPATH sets of every
+  /// node at once: rsg::compute_compat_contexts.
   [[nodiscard]] SmallSet<Symbol> spath0(NodeRef n) const { return pvars_of(n); }
-  /// One-length simple paths: <pvar, sel> with pvar -> m and <m, sel, n>.
-  [[nodiscard]] SmallSet<SimplePath> spath1(NodeRef n) const;
   /// STRUCTURE: weakly-connected-component id per node slot (dead slots get
   /// kNoNode). Ids are the smallest member ref of the component.
   [[nodiscard]] std::vector<NodeRef> components() const;

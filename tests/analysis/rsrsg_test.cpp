@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "analysis/snapshot.hpp"
+#include "support/memory_stats.hpp"
 #include "testing/rsg_builder.hpp"
 
 namespace psa::analysis {
@@ -221,6 +225,80 @@ TEST(RsrsgTest, WidenKeepsAliasDistinctMembers) {
   set.insert(b.g, kL1);
   set.widen(kL1, 1);
   EXPECT_EQ(set.size(), 2u);  // cannot fuse different ALIAS relations
+}
+
+/// Graphs constructed so far in this process (copies included, moves not).
+std::uint64_t graphs_created() {
+  return support::MemoryStats::instance().snapshot().graphs_created;
+}
+
+/// Two alias-distinct members: x -> h -nxt-> t (summary), and y -> one node.
+Rsrsg two_member_set(RsgBuilder& a, RsgBuilder& b) {
+  const NodeRef h = a.node();
+  const NodeRef t = a.node(Cardinality::kMany);
+  a.pvar("x", h).link(h, "nxt", t);
+  b.pvar("y", b.node());
+  Rsrsg set;
+  set.insert(a.g, kL1);
+  set.insert(b.g, kL1);
+  return set;
+}
+
+TEST(RsrsgTest, CopiesShareMembersAndMutationsReplaceThem) {
+  RsgBuilder a;
+  RsgBuilder b(a.interner_ptr());
+  const Rsrsg original = two_member_set(a, b);
+  ASSERT_EQ(original.size(), 2u);
+  const std::vector<rsg::CanonicalKey> keys = {original.key_at(0),
+                                               original.key_at(1)};
+
+  // A copy holds the same members: no graph is built, no address moves.
+  const std::uint64_t before = graphs_created();
+  Rsrsg copy = original;
+  EXPECT_EQ(graphs_created(), before);
+  ASSERT_EQ(copy.size(), original.size());
+  for (std::size_t i = 0; i < copy.size(); ++i) {
+    EXPECT_EQ(&copy.graphs()[i], &original.graphs()[i]);
+  }
+  EXPECT_TRUE(copy.equals(original));
+
+  // Insert, widen and degrade the copy; the original's graphs stay as they
+  // were (keys recomputed from the graphs, not read from the members).
+  RsgBuilder c(a.interner_ptr());
+  const NodeRef c1 = c.node();
+  const NodeRef c2 = c.node();
+  c.pvar("x", c1).link(c1, "nxt", c2).shared(c2);
+  EXPECT_TRUE(copy.insert(c.g, kL1));
+  copy.widen(kL1, 1);
+  copy.degrade_members(kL1, [](Rsg& g) { rsg::drop_must_info(g); });
+  EXPECT_TRUE(copy.widened());
+  EXPECT_FALSE(original.widened());
+  ASSERT_EQ(original.size(), 2u);
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    EXPECT_EQ(rsg::canonical_key(original.graphs()[i]), keys[i]);
+    EXPECT_EQ(original.key_at(i), keys[i]);
+  }
+}
+
+TEST(RsrsgTest, RebuildMovesSoleMembersAndCopiesSharedOnes) {
+  RsgBuilder a;
+  RsgBuilder b(a.interner_ptr());
+  Rsrsg sole = two_member_set(a, b);
+  std::uint64_t before = graphs_created();
+  sole.widen(kL1, 1);
+  const std::uint64_t sole_cost = graphs_created() - before;
+
+  RsgBuilder a2(a.interner_ptr());
+  RsgBuilder b2(a.interner_ptr());
+  Rsrsg shared = two_member_set(a2, b2);
+  const Rsrsg holder = shared;
+  before = graphs_created();
+  shared.widen(kL1, 1);
+  // Each member another set still holds is copied once; the rest is the
+  // same work the sole owner did.
+  EXPECT_EQ(graphs_created() - before, sole_cost + holder.size());
+  EXPECT_TRUE(shared.equals(sole));
+  EXPECT_FALSE(holder.widened());
 }
 
 TEST(RsrsgTest, DumpListsMembers) {

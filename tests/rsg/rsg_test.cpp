@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "rsg/compat.hpp"
 #include "testing/rsg_builder.hpp"
 
 namespace psa::rsg {
@@ -115,11 +116,13 @@ TEST(RsgTest, Spath1IsOneStepPaths) {
   const NodeRef h = b.node();
   const NodeRef n = b.node();
   b.pvar("x", h).link(h, "nxt", n);
-  const auto sp = b.g.spath1(n);
+  const auto contexts = compute_compat_contexts(b.g);
+  const auto& sp = contexts[n].spath1;
   ASSERT_EQ(sp.size(), 1u);
   EXPECT_EQ(sp.begin()->pvar, b.sym("x"));
   EXPECT_EQ(sp.begin()->sel, b.sym("nxt"));
-  EXPECT_TRUE(b.g.spath1(h).empty());
+  EXPECT_TRUE(contexts[h].spath1.empty());
+  EXPECT_EQ(contexts[h].spath0, b.g.spath0(h));
 }
 
 TEST(RsgTest, ComponentsPartitionByConnectivity) {
