@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "support/hash.hpp"
@@ -47,6 +48,14 @@ std::string unescape_detail(std::string_view s) {
   return out;
 }
 
+/// The name part of a unit key or snapshot stem (`<name>-<16 hex>`), or
+/// empty when `stem` has no hash suffix.
+std::string_view key_name(std::string_view stem) {
+  constexpr std::size_t kSuffix = 17;  // '-' plus 16 hex digits
+  if (stem.size() <= kSuffix || stem[stem.size() - kSuffix] != '-') return {};
+  return stem.substr(0, stem.size() - kSuffix);
+}
+
 }  // namespace
 
 std::string unit_key(const AnalysisUnit& unit) {
@@ -71,7 +80,9 @@ std::string unit_key(const AnalysisUnit& unit) {
   return sanitized + "-" + hex;
 }
 
-Checkpoint::Checkpoint(std::string dir, bool resume) : dir_(std::move(dir)) {
+Checkpoint::Checkpoint(std::string dir, bool resume,
+                       const std::vector<std::string>& unit_keys)
+    : dir_(std::move(dir)) {
   fs::create_directories(dir_);
   journal_path_ = (fs::path(dir_) / "journal.psaj").string();
 
@@ -80,13 +91,29 @@ Checkpoint::Checkpoint(std::string dir, bool resume) : dir_(std::move(dir)) {
     // never happened, so the bytes were never a result. Sweep them before
     // replay — a stray tmp must neither shadow a re-run's write nor survive
     // as junk in a directory the resume contract calls recovered.
+    // A snapshot of one of this batch's units under another key holds a
+    // result for source bytes the unit no longer has: no resume can serve
+    // it, so it goes too. Other units' snapshots stay.
+    const std::set<std::string> keys(unit_keys.begin(), unit_keys.end());
+    std::set<std::string_view> names;
+    for (const std::string& key : keys) names.insert(key_name(key));
+    names.erase(std::string_view{});
     std::error_code ec;
     for (const auto& entry : fs::directory_iterator(dir_, ec)) {
       const std::string name = entry.path().filename().string();
-      if (!name.ends_with(".snap.tmp")) continue;
+      if (name.ends_with(".snap.tmp")) {
+        fs::remove(entry.path(), ec);
+        recovery_notes_.push_back(
+            "checkpoint: removed stale in-flight snapshot " + name +
+            " (writer died mid-write)");
+        continue;
+      }
+      if (!name.ends_with(".snap")) continue;
+      const std::string stem = entry.path().stem().string();
+      if (keys.contains(stem) || !names.contains(key_name(stem))) continue;
       fs::remove(entry.path(), ec);
-      recovery_notes_.push_back("checkpoint: removed stale in-flight snapshot " +
-                                name + " (writer died mid-write)");
+      recovery_notes_.push_back("checkpoint: removed superseded snapshot " +
+                                name + " (its unit's source changed)");
     }
 
     // Replay: the last outcome line per key wins; torn/unknown lines —

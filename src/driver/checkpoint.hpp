@@ -9,6 +9,7 @@
 //   <unit-key>.snap.tmp   in-flight write; renamed to .snap on completion,
 //                         so the bare presence of .snap marks a finished
 //                         write (the checksum still guards its content)
+// A unit key is `<sanitized name>-<16 hex digits>` (unit_key below).
 //
 // Journal format — line oriented, tolerant to a torn final line (a SIGKILLed
 // supervisor can lose at most the line being written):
@@ -20,7 +21,7 @@
 //
 // Units are keyed by content: the key hashes the unit's name, function and
 // the source bytes its worker analyzes, so an edited source is a new unit
-// that --resume re-runs.
+// that --resume re-runs, and the resume removes the old key's snapshot.
 //
 // Resume semantics (--resume): a unit whose replayed outcome is `ok` AND
 // whose snapshot validates is skipped and its payload served from disk; a
@@ -52,12 +53,15 @@ namespace psa::driver {
 class Checkpoint {
  public:
   /// Open (and create) `dir`. With `resume` the existing journal is replayed
-  /// into memory; otherwise the directory is cleared. Throws
+  /// into memory and the snapshots of this batch's units under an older key
+  /// (`unit_keys` are the batch's keys: same name, other source) are
+  /// removed; otherwise the directory is cleared. Throws
   /// std::runtime_error only when the directory itself cannot be created; a
   /// journal that cannot be written is a degradation (noted in
   /// recovery_notes(), every later record_outcome returns false) — the batch
   /// runs to completion, it just is not resumable from this journal.
-  Checkpoint(std::string dir, bool resume);
+  Checkpoint(std::string dir, bool resume,
+             const std::vector<std::string>& unit_keys = {});
 
   /// Journal write, durable (O_APPEND + fsync via support/io). False means
   /// the record is not known durable: the caller counts the degradation and
@@ -87,8 +91,9 @@ class Checkpoint {
 
   /// Diagnostics produced while opening the directory: on --resume, a stray
   /// .snap.tmp left by a supervisor killed mid-write is deleted (its rename
-  /// never happened, so it was never a result) and noted here. The
-  /// supervisor forwards these to the batch log.
+  /// never happened, so it was never a result) and noted here, and so is a
+  /// superseded snapshot (no later resume could read it). The supervisor
+  /// forwards these to the batch log.
   [[nodiscard]] const std::vector<std::string>& recovery_notes()
       const noexcept {
     return recovery_notes_;

@@ -509,15 +509,6 @@ BatchResult run_batch(const std::vector<AnalysisUnit>& units,
     result.units[i].unit = units[i];
   }
 
-  std::unique_ptr<Checkpoint> checkpoint;
-  if (!options.checkpoint_dir.empty()) {
-    checkpoint =
-        std::make_unique<Checkpoint>(options.checkpoint_dir, options.resume);
-    for (const std::string& note : checkpoint->recovery_notes()) {
-      log_line(options, note);
-    }
-  }
-
   // The units as the runners see them: each on-disk source is read once,
   // here, so its checkpoint key covers exactly the bytes its worker
   // analyzes. A file that cannot be read stays source-less; the runner
@@ -530,6 +521,15 @@ BatchResult run_batch(const std::vector<AnalysisUnit>& units,
       u.source = support::io::read_file(u.source_path).value_or("");
     }
     keys[i] = unit_key(u);
+  }
+
+  std::unique_ptr<Checkpoint> checkpoint;
+  if (!options.checkpoint_dir.empty()) {
+    checkpoint = std::make_unique<Checkpoint>(options.checkpoint_dir,
+                                              options.resume, keys);
+    for (const std::string& note : checkpoint->recovery_notes()) {
+      log_line(options, note);
+    }
   }
 
   // Journal writes are checked: a record that does not land durably is a

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
@@ -363,6 +364,48 @@ TEST_F(CheckpointedBatch, ResumeReRunsAUnitWhoseSourceWasEdited) {
                                     checker::CheckKind::kUseAfterFree),
             1u);
   EXPECT_EQ(format_batch_report(resumed), format_batch_report(fresh));
+}
+
+TEST_F(CheckpointedBatch, ResumeRemovesTheSnapshotAnEditKeyedOut) {
+  // The snapshot of a unit's old source can never be served again: the
+  // resume that re-runs the edited unit leaves only the new key's snapshot
+  // of it. Another unit's snapshot stays.
+  const std::string path = dir_ + "-a.c";
+  std::string source;
+  const auto write_source = [&](std::string_view body) {
+    source = std::string("struct node { struct node *nxt; };\n"
+                         "void main() {\n"
+                         "  struct node *p;\n"
+                         "  p = malloc(sizeof(struct node));\n") +
+             std::string(body) + "  p->nxt = NULL;\n}\n";
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << source;
+  };
+  AnalysisUnit unit;
+  unit.name = "a.c";
+  unit.source_path = path;
+  const AnalysisUnit other = inline_unit("b");
+  BatchOptions options = quiet_options();
+  options.checkpoint_dir = dir_;
+  write_source("");
+  (void)run_batch({unit, other}, options);
+
+  write_source("  free(p);\n");
+  options.resume = true;
+  const BatchResult resumed = run_batch({unit, other}, options);
+  fs::remove(path);
+  EXPECT_FALSE(resumed.units[0].outcome.from_checkpoint);
+  EXPECT_TRUE(resumed.units[1].outcome.from_checkpoint);
+
+  AnalysisUnit edited = unit;
+  edited.source = source;
+  std::vector<std::string> snapshots;
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    const std::string name = entry.path().filename().string();
+    if (name.ends_with(".snap")) snapshots.push_back(name);
+  }
+  std::sort(snapshots.begin(), snapshots.end());
+  EXPECT_EQ(snapshots, (std::vector<std::string>{unit_key(edited) + ".snap",
+                                                 unit_key(other) + ".snap"}));
 }
 
 TEST_F(CheckpointedBatch, ResumeReplaysQuarantinedOutcomeWithoutReRunning) {
