@@ -27,7 +27,10 @@ class Engine {
  public:
   Engine(const cfg::Cfg& cfg, const cfg::InductionInfo& induction,
          const Options& options)
-      : cfg_(cfg), options_(options), selectors_(cfg.selectors()) {
+      : cfg_(cfg),
+        options_(options),
+        selectors_(cfg.selectors()),
+        shares_pred_(cfg.size(), false) {
     ctx_.policy = options.policy();
     ctx_.prune = options.prune_options();
     ctx_.cfg = &cfg;
@@ -35,6 +38,11 @@ class Engine {
     ctx_.types = options.types;
     ctx_.summaries = options.enable_summaries ? options.summaries : nullptr;
     ctx_.selectors = &selectors_;
+    for (cfg::NodeId n = 0; n < cfg.size(); ++n) {
+      const cfg::CfgNode& node = cfg.node(n);
+      shares_pred_[n] = n != cfg.entry() && node.preds.size() == 1 &&
+                        is_identity_statement(node.stmt, ctx_.policy);
+    }
   }
 
   AnalysisResult run() {
@@ -68,6 +76,14 @@ class Engine {
         if (!queued[n]) {
           queued[n] = true;
           worklist.push_back(n);
+        }
+      }
+    };
+    const auto requeue_succs = [&](cfg::NodeId n) {
+      for (const cfg::NodeId s : cfg_.node(n).succs) {
+        if (!queued[s]) {
+          queued[s] = true;
+          worklist.push_back(s);
         }
       }
     };
@@ -110,9 +126,10 @@ class Engine {
         // transfer memoization (an interrupted fan-out may have recorded
         // inputs whose outputs never landed — re-transferring everything
         // restores soundness), and redo the now-cheap fixpoint within the
-        // extended allowance.
+        // extended allowance. Shared statements take their source's
+        // collapsed state on their next visit.
         for (cfg::NodeId n = 0; n < cfg_.size(); ++n) {
-          if (!result.per_node[n].empty()) {
+          if (!result.per_node[n].empty() && !shares_pred_[n]) {
             governor.collapse(n, result.per_node[n],
                               AnalysisStatus::kDeadline);
           }
@@ -131,7 +148,7 @@ class Engine {
         }
         bool any = false;
         for (cfg::NodeId n = 0; n < cfg_.size(); ++n) {
-          if (result.per_node[n].empty()) continue;
+          if (result.per_node[n].empty() || shares_pred_[n]) continue;
           any |= governor.escalate(n, result.per_node[n],
                                    AnalysisStatus::kIterationLimit) !=
                  DegradationRung::kNone;
@@ -169,14 +186,17 @@ class Engine {
         // (headroom: states escalated only to the line would trip again
         // immediately), preserving the transfer memoization — clearing it
         // forces a full recompute sweep, which is the expensive part of a
-        // relief.
+        // relief. Shared statements hold their source's members, not their
+        // own: they follow the escalated source on their next visit.
         std::vector<cfg::NodeId> escalated;
         bool escalatable = true;
         while (escalatable && live_bytes() > target) {
           escalatable = false;
           std::vector<cfg::NodeId> by_weight;
           for (cfg::NodeId n = 0; n < cfg_.size(); ++n) {
-            if (!result.per_node[n].empty()) by_weight.push_back(n);
+            if (!result.per_node[n].empty() && !shares_pred_[n]) {
+              by_weight.push_back(n);
+            }
           }
           std::sort(by_weight.begin(), by_weight.end(),
                     [&](cfg::NodeId a, cfg::NodeId b) {
@@ -199,9 +219,13 @@ class Engine {
           // drained: nothing is over the target now, but retrying the visit
           // at its current precision would spike (and abort) again. Coarsen
           // the aborted statement's *inputs* — its predecessors' states —
-          // so the retry shrinks.
-          for (const cfg::NodeId p : cfg_.node(fanout_trip_node).preds) {
+          // so the retry shrinks. A shared predecessor is coarsened at its
+          // source, the first statement up its chain that owns its state (a
+          // non-empty one has a source: a cycle of shared statements is
+          // unreachable, so its states stay empty).
+          for (cfg::NodeId p : cfg_.node(fanout_trip_node).preds) {
             if (result.per_node[p].empty()) continue;
+            while (shares_pred_[p]) p = cfg_.node(p).preds.front();
             if (governor.escalate(p, result.per_node[p],
                                   AnalysisStatus::kOutOfMemory) !=
                 DegradationRung::kNone) {
@@ -235,14 +259,7 @@ class Engine {
         // Coarsened outputs must be re-consumed: requeue the successors of
         // every escalated statement (a cache drop alone invalidates
         // nothing — transfers are pure, memoization is only a shortcut).
-        for (const cfg::NodeId n : escalated) {
-          for (const cfg::NodeId s : cfg_.node(n).succs) {
-            if (!queued[s]) {
-              queued[s] = true;
-              worklist.push_back(s);
-            }
-          }
-        }
+        for (const cfg::NodeId n : escalated) requeue_succs(n);
         continue;
       }
 
@@ -260,6 +277,23 @@ class Engine {
         PSA_COUNT(support::Counter::kWorklistRevisits);
       } else {
         visited[id] = true;
+      }
+
+      // A statement with no shape effect and one predecessor holds that
+      // predecessor's RSRSG: the transfer is the identity, so the
+      // predecessor's set, widened or not, covers every store reaching it.
+      // No transfer, transfer-cache entry, JOIN or widening; the copy
+      // shares the members. Its time books to the consider stage.
+      if (shares_pred_[id]) {
+        PSA_COUNT(support::Counter::kSharedVisits);
+        Rsrsg& state = result.per_node[id];
+        const Rsrsg& pred = result.per_node[cfg_.node(id).preds.front()];
+        const bool changed =
+            state.widened() != pred.widened() || !state.equals(pred);
+        state = pred;
+        end_stage(support::Counter::kPhaseConsiderWallNs);
+        if (changed) requeue_succs(id);
+        continue;
       }
 
       // Input: the union of the predecessors' RSRSGs (the entry's input is
@@ -388,14 +422,7 @@ class Engine {
       }
       end_stage(support::Counter::kPhaseWidenWallNs);
 
-      if (changed || visits == 1) {
-        for (const cfg::NodeId s : cfg_.node(id).succs) {
-          if (!queued[s]) {
-            queued[s] = true;
-            worklist.push_back(s);
-          }
-        }
-      }
+      if (changed || visits == 1) requeue_succs(id);
     }
 
     result.status = status;
@@ -438,6 +465,9 @@ class Engine {
   const cfg::Cfg& cfg_;
   const Options& options_;
   const std::vector<rsg::Symbol> selectors_;  // cfg_.selectors()
+  /// Per node: a non-entry identity statement (is_identity_statement) with
+  /// one predecessor, whose state is that predecessor's.
+  std::vector<bool> shares_pred_;
   TransferContext ctx_;
   std::unordered_map<cfg::NodeId, TransferCache> transfer_cache_;
 };

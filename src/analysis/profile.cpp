@@ -310,6 +310,7 @@ std::string format_profile(const UnitMetrics& m) {
   os << "worklist:\n";
   profile_counter_row(os, "visits", ops[Counter::kWorklistVisits]);
   profile_counter_row(os, "revisits", ops[Counter::kWorklistRevisits]);
+  profile_counter_row(os, "shared visits", ops[Counter::kSharedVisits]);
   profile_counter_row(os, "transfer cache hits",
                       ops[Counter::kTransferCacheHits]);
   profile_counter_row(os, "transfer cache misses",

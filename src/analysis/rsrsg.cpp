@@ -153,9 +153,11 @@ bool Rsrsg::equals(const Rsrsg& other) const {
   if (members_.size() != other.members_.size()) return false;
   // Multiset match: keys are equal iff the members are isomorphic, and a
   // shared member is equal to itself without its key.
-  return std::is_permutation(
-      members_.begin(), members_.end(), other.members_.begin(),
-      [](const auto& a, const auto& b) { return a == b || a->key() == b->key(); });
+  return std::is_permutation(members_.begin(), members_.end(),
+                             other.members_.begin(),
+                             [](const auto& a, const auto& b) {
+                               return a == b || a->key() == b->key();
+                             });
 }
 
 std::string Rsrsg::dump(const support::Interner& interner) const {

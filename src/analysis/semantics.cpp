@@ -617,10 +617,6 @@ std::vector<Rsg> exec_call(const Rsg& in, const cfg::CfgNode& node,
 std::vector<Rsg> exec_touch_clear(const Rsg& in, const SimpleStmt& stmt,
                                   const TransferContext& ctx) {
   std::vector<Rsg> out;
-  if (!ctx.policy.use_touch()) {
-    out.push_back(in);
-    return out;
-  }
   Rsg g = in;
   bool changed = false;
   for (const NodeRef n : g.node_refs()) {
@@ -661,9 +657,26 @@ std::vector<Rsg> bind_unknown_param(const Rsg& in, Symbol param,
   return rebind_unknown(in, param, type, ctx, /*taint_graph=*/false);
 }
 
+bool is_identity_statement(const SimpleStmt& stmt,
+                           const rsg::LevelPolicy& policy) {
+  switch (stmt.op) {
+    case SimpleOp::kFieldRead:
+    case SimpleOp::kFieldWrite:
+    case SimpleOp::kScalar:
+    case SimpleOp::kBranch:
+    case SimpleOp::kNop:
+      return true;
+    case SimpleOp::kTouchClear:
+      return !policy.use_touch();
+    default:
+      return false;
+  }
+}
+
 std::vector<Rsg> execute_statement(const Rsg& in, const cfg::CfgNode& node,
                                    const TransferContext& ctx) {
   const SimpleStmt& stmt = node.stmt;
+  if (is_identity_statement(stmt, ctx.policy)) return {in};
   switch (stmt.op) {
     case SimpleOp::kPtrNull:
       return exec_ptr_null(in, stmt.x, ctx);
@@ -697,7 +710,7 @@ std::vector<Rsg> execute_statement(const Rsg& in, const cfg::CfgNode& node,
     case SimpleOp::kScalar:
     case SimpleOp::kBranch:
     case SimpleOp::kNop:
-      return {in};
+      break;  // is_identity_statement
   }
   return {in};
 }

@@ -44,6 +44,14 @@ struct TransferContext {
                                                       const cfg::CfgNode& node,
                                                       const TransferContext& ctx);
 
+/// True when `stmt` has no shape effect under `policy`: execute_statement
+/// returns `{in}` for every input. These are kNop, kBranch, kScalar,
+/// kFieldRead, kFieldWrite, and kTouchClear below L3 (TOUCH is an L3
+/// property). The engine lets such a statement with one predecessor hold
+/// that predecessor's RSRSG.
+[[nodiscard]] bool is_identity_statement(const cfg::SimpleStmt& stmt,
+                                         const rsg::LevelPolicy& policy);
+
 /// The heap region a callee can observe or mutate through the pointer
 /// arguments `args`: every node reachable from their bindings over
 /// may-links, ascending. The subset has no globals, so this is

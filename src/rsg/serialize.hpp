@@ -65,9 +65,10 @@ class SnapshotError : public std::runtime_error {
 /// v5 grew it with the durable-I/O counters (io_writes, io_fsyncs,
 /// io_faults_injected, io_degradations); v6 shrank it by the eight counters
 /// of the removed analysis daemon (76 -> 68); v7 grew it with the
-/// canon_fallbacks counter and the four fixpoint-stage timers (68 -> 73).
+/// canon_fallbacks counter and the four fixpoint-stage timers (68 -> 73);
+/// v8 grew it with shared_visits (73 -> 74).
 /// Older snapshots are rejected with a version mismatch rather than misread.
-inline constexpr std::uint32_t kSnapshotVersion = 7;
+inline constexpr std::uint32_t kSnapshotVersion = 8;
 
 // --- Byte-level primitives ---------------------------------------------------
 

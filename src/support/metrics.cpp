@@ -27,6 +27,7 @@ std::string_view counter_name(Counter c) noexcept {
     case Counter::kMaterializeVariants: return "materialize_variants";
     case Counter::kWorklistVisits: return "worklist_visits";
     case Counter::kWorklistRevisits: return "worklist_revisits";
+    case Counter::kSharedVisits: return "shared_visits";
     case Counter::kTransferCacheHits: return "transfer_cache_hits";
     case Counter::kTransferCacheMisses: return "transfer_cache_misses";
     case Counter::kWidenings: return "widenings";

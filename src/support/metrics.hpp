@@ -67,6 +67,7 @@ enum class Counter : std::uint16_t {
   // Fixpoint engine.
   kWorklistVisits,
   kWorklistRevisits,     // visits beyond the first per CFG node
+  kSharedVisits,         // identity statements given their predecessor's RSRSG
   kTransferCacheHits,    // input graph already transferred at this node
   kTransferCacheMisses,  // fresh input graph (a real transfer)
   kWidenings,            // RSRSG widen() trips at Options::widen_threshold

@@ -11,6 +11,7 @@
 #include "analysis/analyzer.hpp"
 #include "corpus/corpus.hpp"
 #include "testing/concrete_oracle.hpp"
+#include "testing/shared_states.hpp"
 
 namespace psa::analysis {
 namespace {
@@ -177,6 +178,60 @@ TEST(GovernorTest, SparseLuMemoryBudgetAcceptance) {
   // checked either way).
   oracle::expect_covers_concrete(program, result.at_exit(program.cfg), 20,
                                  20000);
+}
+
+/// A degraded run keeps the sharing invariant (tests/testing/
+/// shared_states.hpp), and the governor degrades only the statements that
+/// own their state: a shared statement follows its source instead.
+void expect_shared_states_follow_their_source(const ProgramAnalysis& program,
+                                              const Options& options,
+                                              AnalysisStatus trigger,
+                                              const std::string& where) {
+  const auto result = analyze_program(program, options);
+  ASSERT_EQ(result.status, AnalysisStatus::kConverged) << where;
+  bool tripped = false;
+  for (const DegradationEvent& e : result.degradation.events) {
+    tripped |= e.trigger == trigger;
+    const cfg::CfgNode& node = program.cfg.node(e.node);
+    EXPECT_FALSE(e.node != program.cfg.entry() && node.preds.size() == 1 &&
+                 is_identity_statement(node.stmt, options.policy()))
+        << where << ": shared statement " << e.node << " was degraded";
+  }
+  EXPECT_TRUE(tripped) << where;
+  EXPECT_GT(testing::expect_shared_states_match(program.cfg, result,
+                                                options.policy(), where),
+            0u);
+}
+
+TEST(GovernorTest, SharedStatementsFollowTheirSourceThroughMemoryRelief) {
+  const auto dll_program = prepare(dll().source);
+  for (const std::uint64_t budget :
+       {std::uint64_t{8} << 10, std::uint64_t{32} << 10}) {
+    Options options;
+    options.memory_budget_bytes = budget;
+    expect_shared_states_follow_their_source(
+        dll_program, options, AnalysisStatus::kOutOfMemory,
+        "dll, budget " + std::to_string(budget));
+  }
+  const auto lu_program = prepare(corpus::sparse_lu().source);
+  Options lu;
+  lu.level = rsg::AnalysisLevel::kL2;
+  lu.memory_budget_bytes = 64 * 1024;
+  expect_shared_states_follow_their_source(
+      lu_program, lu, AnalysisStatus::kOutOfMemory, "sparse_lu L2, 64 KiB");
+}
+
+TEST(GovernorTest, SharedStatementsFollowTheirSourceUpTheVisitLadder) {
+  for (const char* name : {"dll", "sparse_matmat"}) {
+    const auto program = prepare(corpus::find_program(name)->source);
+    for (const std::uint64_t visits : {1u, 40u}) {
+      Options options;
+      options.max_node_visits = visits;
+      expect_shared_states_follow_their_source(
+          program, options, AnalysisStatus::kIterationLimit,
+          std::string(name) + ", " + std::to_string(visits) + " visits");
+    }
+  }
 }
 
 TEST(GovernorTest, DegradedResultsCoverUndegradedFacts) {

@@ -194,10 +194,12 @@ TEST(ProfileTest, MetricsJsonRoundTripsThroughTheParser) {
     EXPECT_NE(ops->find(key), nullptr) << key;
   }
   // The fixpoint-stage vocabulary (docs/OBSERVABILITY.md): the four visit
-  // stages and the canonical-key fallbacks behind the consider split.
+  // stages, the canonical-key fallbacks behind the consider split and the
+  // visits served by sharing a predecessor's state.
   for (const char* key :
        {"phase_consider_wall_ns", "phase_transfer_wall_ns",
-        "phase_join_wall_ns", "phase_widen_wall_ns", "canon_fallbacks"}) {
+        "phase_join_wall_ns", "phase_widen_wall_ns", "canon_fallbacks",
+        "shared_visits"}) {
     EXPECT_NE(ops->find(key), nullptr) << key;
   }
 

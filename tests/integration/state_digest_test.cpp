@@ -2,7 +2,9 @@
 // gate for every kernel change. One case per (program, level) over the
 // clean, dirty and deliberately-buggy corpora; each compares the digest of
 // every CFG node's RSRSG (tests/testing/state_digest.hpp) with
-// tests/integration/state_digests/<program>.<level>.txt.
+// tests/integration/state_digests/<program>.<level>.txt, and checks that
+// every shape-neutral statement with one predecessor ends with exactly its
+// predecessor's state (tests/testing/shared_states.hpp).
 //
 // A change that moves any intermediate state fails here even when it stays
 // sound and leaves exit states, findings and counters alone. An intentional
@@ -23,6 +25,7 @@
 #include "cfg/simple_stmt.hpp"
 #include "corpus/corpus.hpp"
 #include "support/metrics.hpp"
+#include "testing/shared_states.hpp"
 #include "testing/state_digest.hpp"
 
 #ifndef PSA_STATE_DIGEST_DIR
@@ -87,6 +90,13 @@ std::vector<std::string> digest_lines(const DigestCase& c) {
       << c.name() << ": " << fallbacks
       << " canonical keys needed the tie search; see rsg/canon.hpp for why "
          "analysis states never should";
+
+  // Identity statements with one predecessor hold its state
+  // (analysis/engine.cpp): each ends equal to it, and sharing served visits.
+  const std::size_t shared = testing::expect_shared_states_match(
+      program.cfg, result, options.policy(), c.name());
+  EXPECT_GT(shared, 0u) << c.name();
+  EXPECT_GT(region.delta()[support::Counter::kSharedVisits], 0u) << c.name();
 
   testing::StateDigester digester(program.interner(), program.unit.types);
   const std::vector<std::uint64_t> digests = digester.digest(result);

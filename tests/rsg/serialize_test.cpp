@@ -56,14 +56,14 @@ TEST(SerializeEnvelope, RejectsWrongVersion) {
 }
 
 TEST(SerializeEnvelope, VersionIsPinnedAndPredecessorsAreRejected) {
-  // v7: the metrics array grew by canon_fallbacks and the four fixpoint-
-  // stage timers (src/rsg/serialize.hpp). A version bump without updating
-  // this pin is a wire-format change nobody signed off on.
-  EXPECT_EQ(kSnapshotVersion, 7u);
+  // v8: the metrics array grew by shared_visits (src/rsg/serialize.hpp). A
+  // version bump without updating this pin is a wire-format change nobody
+  // signed off on.
+  EXPECT_EQ(kSnapshotVersion, 8u);
   // Every prior version (v1 pre-metrics, v2 pre-IPA, v3 pre-func-cache,
   // v4 pre-io-counters, v5 with the daemon counters, v6 before the stage
-  // timers) must be rejected — stale cache entries and checkpoints
-  // re-analyze rather than misparse.
+  // timers, v7 before shared_visits) must be rejected — stale cache entries
+  // and checkpoints re-analyze rather than misparse.
   for (std::uint8_t old = 0; old < kSnapshotVersion; ++old) {
     std::string bytes = wrap_snapshot("payload");
     bytes[8] = static_cast<char>(old);
