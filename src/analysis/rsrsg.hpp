@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -39,23 +38,10 @@ class Rsrsg {
    public:
     class iterator {
      public:
-      using iterator_category = std::forward_iterator_tag;
-      using value_type = Rsg;
-      using difference_type = std::ptrdiff_t;
-      using pointer = const Rsg*;
-      using reference = const Rsg&;
-
-      iterator() = default;
-      reference operator*() const { return (*it_)->graph(); }
-      pointer operator->() const { return &(*it_)->graph(); }
+      const Rsg& operator*() const { return (*it_)->graph(); }
       iterator& operator++() {
         ++it_;
         return *this;
-      }
-      iterator operator++(int) {
-        iterator before = *this;
-        ++it_;
-        return before;
       }
       friend bool operator==(const iterator&, const iterator&) = default;
 

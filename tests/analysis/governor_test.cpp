@@ -192,9 +192,8 @@ void expect_shared_states_follow_their_source(const ProgramAnalysis& program,
   bool tripped = false;
   for (const DegradationEvent& e : result.degradation.events) {
     tripped |= e.trigger == trigger;
-    const cfg::CfgNode& node = program.cfg.node(e.node);
-    EXPECT_FALSE(e.node != program.cfg.entry() && node.preds.size() == 1 &&
-                 is_identity_statement(node.stmt, options.policy()))
+    EXPECT_FALSE(
+        testing::is_shared_statement(program.cfg, e.node, options.policy()))
         << where << ": shared statement " << e.node << " was degraded";
   }
   EXPECT_TRUE(tripped) << where;

@@ -16,6 +16,14 @@
 
 namespace psa::testing {
 
+/// True when statement `id` of `cfg` shares its predecessor's state.
+inline bool is_shared_statement(const cfg::Cfg& cfg, cfg::NodeId id,
+                                const rsg::LevelPolicy& policy) {
+  const cfg::CfgNode& node = cfg.node(id);
+  return id != cfg.entry() && node.preds.size() == 1 &&
+         analysis::is_identity_statement(node.stmt, policy);
+}
+
 /// Check the invariant on every such statement of `cfg`; returns how many
 /// there were.
 inline std::size_t expect_shared_states_match(
@@ -23,12 +31,9 @@ inline std::size_t expect_shared_states_match(
     const rsg::LevelPolicy& policy, const std::string& where) {
   std::size_t shared = 0;
   for (cfg::NodeId id = 0; id < cfg.size(); ++id) {
-    const cfg::CfgNode& node = cfg.node(id);
-    if (id == cfg.entry() || node.preds.size() != 1 ||
-        !analysis::is_identity_statement(node.stmt, policy)) {
-      continue;
-    }
+    if (!is_shared_statement(cfg, id, policy)) continue;
     ++shared;
+    const cfg::CfgNode& node = cfg.node(id);
     const analysis::Rsrsg& state = result.per_node[id];
     const analysis::Rsrsg& pred = result.per_node[node.preds.front()];
     EXPECT_TRUE(state.equals(pred) && state.widened() == pred.widened())
