@@ -485,10 +485,12 @@ int run_batch_mode(const CliOptions& cli) {
       if (!ur.payload || !ur.payload->frontend_ok) continue;
       analysis::UnitMetrics m = analysis::collect_unit_metrics(
           ur.unit.name, ur.unit.function, level_str, ur.payload->result);
-      // The worker-side whole-unit delta (frontend + fixpoint + checkers),
-      // shipped inside the payload — valid across forked and in-process
-      // workers alike.
+      // The worker-side whole-unit delta (frontend + fixpoint + checkers)
+      // and gauges, shipped inside the payload — valid across forked and
+      // in-process workers alike. A payload holds no per-statement state,
+      // so the gauges collected from its result would count the exit only.
       m.ops = ur.payload->metrics;
+      m.gauges = ur.payload->gauges;
       metrics.push_back(std::move(m));
     }
     const analysis::UnitMetrics aggregate =

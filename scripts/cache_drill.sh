@@ -10,7 +10,9 @@
 #      to the cap, journaling every decision, without changing the report;
 #   8. the function-granular tier — a one-line edit in a four-function chain
 #      is served from per-function entries, and new entries on disk prove
-#      the promotion to the edited unit's key.
+#      the promotion to the edited unit's key;
+#   9. a cold fill of the whole corpus stores under 1 MiB — entries carry
+#      each unit's exit state, not every statement's state.
 #
 # Scenario numbers are stable across revisions of this drill, so a failure
 # message names the same property it always did.
@@ -182,5 +184,19 @@ grep -q '"func_cache_hits":[1-9]' "$WORK/edit.jsonl" ||
 after=$(find "$CACHE" -maxdepth 1 -name '*.entry' | wc -l)
 [ "$after" -gt "$entries" ] ||
   fail "edited run stored no new entries (want promotion + a new summary)"
+
+echo "== scenario 9: a cold corpus fill stays under 1 MiB"
+# A unit payload carries the exit state, not every statement's state
+# (src/driver/payload.hpp), so the checked corpus fills a few hundred KB;
+# with per-statement states it took about 21 MB.
+CORPUS_CACHE="$WORK/corpus-cache"
+status=0
+$CLI --corpus --check --isolate --jobs=2 --cache-dir="$CORPUS_CACHE" \
+  >/dev/null 2>&1 || status=$?
+[ "$status" -eq 1 ] || fail "cold corpus fill exited $status, want 1"
+stored=$(find "$CORPUS_CACHE" -type f -exec cat {} + | wc -c)
+[ "$stored" -gt 0 ] || fail "cold corpus fill stored nothing"
+[ "$stored" -lt 1048576 ] ||
+  fail "cold corpus fill stored $stored bytes, want under 1 MiB"
 
 echo "cache_drill: all scenarios passed"

@@ -21,21 +21,6 @@ std::string format_double(double v) {
   return buf;
 }
 
-void recompute_densities(PopulationGauges& g) {
-  g.avg_nodes_per_rsg =
-      g.live_rsgs == 0
-          ? 0.0
-          : static_cast<double>(g.total_nodes) / static_cast<double>(g.live_rsgs);
-  if (g.total_nodes == 0) {
-    g.shared_density = 0.0;
-    g.cyclelinks_density = 0.0;
-  } else {
-    const double total = static_cast<double>(g.total_nodes);
-    g.shared_density = static_cast<double>(g.shared_nodes) / total;
-    g.cyclelinks_density = static_cast<double>(g.cyclelink_nodes) / total;
-  }
-}
-
 }  // namespace
 
 std::string json_escape(std::string_view s) {
@@ -60,6 +45,21 @@ std::string json_escape(std::string_view s) {
     }
   }
   return out;
+}
+
+void recompute_densities(PopulationGauges& g) {
+  g.avg_nodes_per_rsg = g.live_rsgs == 0
+                            ? 0.0
+                            : static_cast<double>(g.total_nodes) /
+                                  static_cast<double>(g.live_rsgs);
+  if (g.total_nodes == 0) {
+    g.shared_density = 0.0;
+    g.cyclelinks_density = 0.0;
+  } else {
+    const double total = static_cast<double>(g.total_nodes);
+    g.shared_density = static_cast<double>(g.shared_nodes) / total;
+    g.cyclelinks_density = static_cast<double>(g.cyclelink_nodes) / total;
+  }
 }
 
 PopulationGauges collect_gauges(const AnalysisResult& result) {

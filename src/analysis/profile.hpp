@@ -48,6 +48,9 @@ struct PopulationGauges {
 /// the fixpoint that produced the result.
 [[nodiscard]] PopulationGauges collect_gauges(const AnalysisResult& result);
 
+/// Derive avg_nodes_per_rsg and the two densities from the counts.
+void recompute_densities(PopulationGauges& g);
+
 /// One analysis unit's full metric record: identity, outcome, cost, the
 /// operation-counter snapshot, and the population gauges. This is the unit
 /// of the JSONL stream and the input to aggregation.

@@ -104,8 +104,7 @@ Rsrsg read_rsrsg(ByteReader& in, const SymbolTableView& table) {
   return Rsrsg::restore(std::move(graphs), widened != 0);
 }
 
-void append_analysis_result(ByteWriter& out, const AnalysisResult& result,
-                            SymbolTableBuilder& table) {
+void append_result_scalars(ByteWriter& out, const AnalysisResult& result) {
   out.u8(static_cast<std::uint8_t>(result.status));
   out.f64(result.seconds);
   out.u64(result.node_visits);
@@ -116,12 +115,9 @@ void append_analysis_result(ByteWriter& out, const AnalysisResult& result,
   out.u64(result.memory.graphs_created);
   append_degradation(out, result.degradation);
   append_metrics(out, result.ops);
-  out.u32(static_cast<std::uint32_t>(result.per_node.size()));
-  for (const Rsrsg& set : result.per_node) append_rsrsg(out, set, table);
 }
 
-AnalysisResult read_analysis_result(ByteReader& in,
-                                    const SymbolTableView& table) {
+AnalysisResult read_result_scalars(ByteReader& in) {
   AnalysisResult result;
   result.status = read_status(in, "result status");
   result.seconds = in.f64("result seconds");
@@ -133,37 +129,19 @@ AnalysisResult read_analysis_result(ByteReader& in,
   result.memory.graphs_created = in.u64("graphs created");
   result.degradation = read_degradation(in);
   result.ops = read_metrics(in);
-  const std::uint32_t nodes = in.count("per-node states", 5);
-  result.per_node.reserve(nodes);
-  for (std::uint32_t i = 0; i < nodes; ++i) {
-    result.per_node.push_back(read_rsrsg(in, table));
-  }
   return result;
 }
 
-namespace {
-
-template <typename AppendFn>
-std::string serialize_with_table(const support::Interner& interner,
-                                 AppendFn&& append) {
-  SymbolTableBuilder table(interner);
-  ByteWriter body;
-  append(body, table);
-  ByteWriter payload;
-  table.write_table(payload);
-  std::string out = payload.take();
-  out += body.bytes();
-  return rsg::wrap_snapshot(std::move(out));
-}
-
-}  // namespace
-
 std::string serialize_rsrsg(const Rsrsg& set,
                             const support::Interner& interner) {
-  return serialize_with_table(interner,
-                              [&](ByteWriter& out, SymbolTableBuilder& table) {
-                                append_rsrsg(out, set, table);
-                              });
+  SymbolTableBuilder table(interner);
+  ByteWriter body;
+  append_rsrsg(body, set, table);
+  ByteWriter out;
+  table.write_table(out);
+  std::string bytes = out.take();
+  bytes += body.bytes();
+  return rsg::wrap_snapshot(std::move(bytes));
 }
 
 Rsrsg deserialize_rsrsg(std::string_view bytes, support::Interner& interner) {
@@ -172,23 +150,6 @@ Rsrsg deserialize_rsrsg(std::string_view bytes, support::Interner& interner) {
   Rsrsg set = read_rsrsg(in, table);
   in.expect_end("rsrsg record");
   return set;
-}
-
-std::string serialize_analysis_result(const AnalysisResult& result,
-                                      const support::Interner& interner) {
-  return serialize_with_table(interner,
-                              [&](ByteWriter& out, SymbolTableBuilder& table) {
-                                append_analysis_result(out, result, table);
-                              });
-}
-
-AnalysisResult deserialize_analysis_result(std::string_view bytes,
-                                           support::Interner& interner) {
-  ByteReader in(rsg::unwrap_snapshot(bytes));
-  const SymbolTableView table(in, interner);
-  AnalysisResult result = read_analysis_result(in, table);
-  in.expect_end("analysis result record");
-  return result;
 }
 
 }  // namespace psa::analysis

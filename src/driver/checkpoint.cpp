@@ -226,6 +226,7 @@ bool Checkpoint::store_payload(const std::string& key,
 }
 
 std::optional<UnitPayload> Checkpoint::load_payload(const std::string& key,
+                                                    const AnalysisUnit& unit,
                                                     std::string* error) const {
   const std::string path = snapshot_path(key);
   const std::optional<std::string> bytes = support::io::read_file(path);
@@ -234,7 +235,15 @@ std::optional<UnitPayload> Checkpoint::load_payload(const std::string& key,
     return std::nullopt;
   }
   try {
-    return deserialize_unit_payload(*bytes);
+    UnitPayload payload = deserialize_unit_payload(*bytes);
+    if (payload.unit_name != unit.name || payload.function != unit.function) {
+      if (error != nullptr) {
+        *error = "snapshot of " + payload.unit_name + " (" +
+                 payload.function + ") in " + path;
+      }
+      return std::nullopt;
+    }
+    return payload;
   } catch (const rsg::SnapshotError& e) {
     if (error != nullptr) *error = std::string(e.what()) + " in " + path;
     return std::nullopt;

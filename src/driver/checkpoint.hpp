@@ -83,11 +83,13 @@ class Checkpoint {
   [[nodiscard]] bool store_payload(const std::string& key,
                                    std::string_view bytes) const;
 
-  /// Load + validate the snapshot of `key`. Returns nullopt (with the
-  /// diagnostic in `error`) when missing or corrupt — the caller re-runs the
-  /// unit; corruption never aborts a batch.
+  /// Load + validate the snapshot of `key`, the key of `unit`. Returns
+  /// nullopt (with the diagnostic in `error`) when missing, corrupt, or the
+  /// result of another unit or function — the caller re-runs the unit;
+  /// corruption never aborts a batch.
   [[nodiscard]] std::optional<UnitPayload> load_payload(
-      const std::string& key, std::string* error) const;
+      const std::string& key, const AnalysisUnit& unit,
+      std::string* error) const;
 
   /// Diagnostics produced while opening the directory: on --resume, a stray
   /// .snap.tmp left by a supervisor killed mid-write is deleted (its rename

@@ -65,6 +65,37 @@ checker::Finding read_finding(ByteReader& in) {
   return f;
 }
 
+void append_gauges(ByteWriter& out, const analysis::PopulationGauges& g) {
+  out.u64(g.live_rsgs);
+  out.u64(g.total_nodes);
+  out.u64(g.max_rsgs_per_stmt);
+  out.u64(g.max_nodes_per_rsg);
+  out.u64(g.shared_nodes);
+  out.u64(g.cyclelink_nodes);
+}
+
+analysis::PopulationGauges read_gauges(ByteReader& in) {
+  analysis::PopulationGauges g;
+  g.live_rsgs = in.u64("gauge live rsgs");
+  g.total_nodes = in.u64("gauge total nodes");
+  g.max_rsgs_per_stmt = in.u64("gauge max rsgs per stmt");
+  g.max_nodes_per_rsg = in.u64("gauge max nodes per rsg");
+  g.shared_nodes = in.u64("gauge shared nodes");
+  g.cyclelink_nodes = in.u64("gauge cyclelink nodes");
+  if (g.max_rsgs_per_stmt > g.live_rsgs ||
+      g.max_nodes_per_rsg > g.total_nodes ||
+      g.shared_nodes > g.total_nodes || g.cyclelink_nodes > g.total_nodes) {
+    throw SnapshotError("population gauges inconsistent");
+  }
+  analysis::recompute_densities(g);
+  return g;
+}
+
+/// A loaded result holds one (empty) set per CFG statement, and the
+/// statement count is untrusted, so it is capped: far above any function
+/// the engine can analyze, far below an allocation that could hurt.
+constexpr std::uint32_t kMaxStatements = std::uint32_t{1} << 20;
+
 }  // namespace
 
 std::string serialize_unit_payload(const UnitPayload& payload,
@@ -79,8 +110,12 @@ std::string serialize_unit_payload(const UnitPayload& payload,
   if (!payload.frontend_ok) {
     body.str(payload.frontend_error);
   } else {
+    body.u32(static_cast<std::uint32_t>(payload.result.per_node.size()));
     body.u32(payload.exit_node);
-    analysis::append_analysis_result(body, payload.result, table);
+    analysis::append_result_scalars(body, payload.result);
+    analysis::append_rsrsg(body, payload.result.per_node[payload.exit_node],
+                           table);
+    append_gauges(body, payload.gauges);
     // Salvage-mode degradation summary (all zero on a clean frontend).
     body.u32(payload.skipped_decls);
     body.u32(payload.havoc_sites);
@@ -114,11 +149,19 @@ UnitPayload deserialize_unit_payload(std::string_view bytes) {
   if (!payload.frontend_ok) {
     payload.frontend_error = std::string(in.str("frontend error"));
   } else {
+    const std::uint32_t statements = in.u32("statement count");
+    if (statements > kMaxStatements) {
+      throw SnapshotError("statement count out of range");
+    }
     payload.exit_node = in.u32("exit node");
-    payload.result = analysis::read_analysis_result(in, table);
-    if (payload.exit_node >= payload.result.per_node.size()) {
+    if (payload.exit_node >= statements) {
       throw SnapshotError("exit node out of range");
     }
+    payload.result = analysis::read_result_scalars(in);
+    payload.result.per_node.resize(statements);
+    payload.result.per_node[payload.exit_node] =
+        analysis::read_rsrsg(in, table);
+    payload.gauges = read_gauges(in);
     payload.skipped_decls = in.u32("salvage skipped decls");
     payload.havoc_sites = in.u32("salvage havoc sites");
     payload.unsupported_count = in.u32("salvage unsupported count");

@@ -1,14 +1,16 @@
 // The worker -> supervisor result payload.
 //
 // Everything a batch supervisor needs from one completed unit, serialized
-// with the rsg/serialize.hpp wire format: the full AnalysisResult (every
-// per-statement RSRSG, degradation report, resource accounting), the checker
-// findings, and the CFG exit node id so reports can quote exit-state sizes
-// without re-running the frontend. A forked worker writes these bytes to its
-// result pipe; the supervisor validates them with deserialize_unit_payload
-// and, under --checkpoint, writes the same bytes as the unit's snapshot, so
-// a resumed batch replays them instead of re-analyzing. The result cache
-// stores the same bytes too.
+// with the rsg/serialize.hpp wire format: the scalar record of the
+// AnalysisResult (status, resource accounting, degradation report, fixpoint
+// counters), the exit RSRSG, the population gauges, the checker findings and
+// the whole-unit counters. The report, SARIF, exit code and metrics read
+// nothing else, so per-statement states never leave the process that ran the
+// fixpoint. A forked worker writes these bytes to its result pipe; the
+// supervisor validates them with deserialize_unit_payload and, under
+// --checkpoint, writes the same bytes as the unit's snapshot, so a resumed
+// batch replays them instead of re-analyzing. The result cache stores the
+// same bytes too.
 //
 // A payload is self-contained: deserialization re-interns every symbol into
 // a fresh Interner owned by the payload, so the supervisor can hold results
@@ -19,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/profile.hpp"
 #include "analysis/snapshot.hpp"
 #include "checker/checker.hpp"
 #include "driver/unit.hpp"
@@ -26,7 +29,8 @@
 namespace psa::driver {
 
 struct UnitPayload {
-  /// Echo of the unit identity, validated against the checkpoint key.
+  /// Echo of the unit identity; a --resume serves a checkpoint snapshot
+  /// only to the unit it names (Checkpoint::load_payload).
   std::string unit_name;
   std::string function;
 
@@ -34,11 +38,20 @@ struct UnitPayload {
   bool frontend_ok = true;
   std::string frontend_error;
 
-  /// Fixpoint result (frontend_ok only).
+  /// Fixpoint result (frontend_ok only). Only its scalars and the state at
+  /// `exit_node` are serialized: a loaded result holds no per-statement
+  /// state. Its per_node keeps the CFG's size, every set empty but the exit
+  /// state, so exit_graphs(), exit_nodes(), converged() and degraded() read
+  /// a built and a loaded payload alike.
   analysis::AnalysisResult result;
   /// cfg::Cfg::exit() of the analyzed function — index into
   /// result.per_node, validated on load.
   std::uint32_t exit_node = 0;
+  /// Population gauges of every statement's state (analysis::collect_gauges),
+  /// computed by the worker that ran the fixpoint, since a loaded result has
+  /// no states to walk. A cache-served payload keeps the cold run's gauges:
+  /// they describe the answer, not this run's cost.
+  analysis::PopulationGauges gauges;
 
   /// Salvage-mode degradation summary (frontend_ok only; all zero on a
   /// clean run). Mirrors analysis::SalvageInfo — nonzero degradation maps
@@ -84,7 +97,8 @@ struct UnitPayload {
 };
 
 /// Serialize (envelope + string table + records). `interner` must span every
-/// symbol `payload.result` references — the frontend interner of the run.
+/// symbol of the exit state — the frontend interner of the run, or a loaded
+/// payload's own. The bytes depend on no state but the exit state.
 [[nodiscard]] std::string serialize_unit_payload(
     const UnitPayload& payload, const support::Interner& interner);
 

@@ -258,6 +258,7 @@ std::string run_unit_serialized(const AnalysisUnit& unit,
     if (inject_summaries) engine_run.summaries = &summaries;
     payload.result = analysis::analyze_program(program, engine_run);
     payload.exit_node = program.cfg.exit();
+    payload.gauges = analysis::collect_gauges(payload.result);
     payload.skipped_decls =
         static_cast<std::uint32_t>(program.salvage.skipped_decls);
     payload.havoc_sites =
@@ -335,11 +336,6 @@ struct PendingAttempt {
   analysis::Options engine;
 };
 
-/// The most receive buffer a worker's declared result size may reserve up
-/// front. The declaration is untrusted; a larger result still arrives, the
-/// buffer just grows as it does.
-constexpr std::uint64_t kMaxResultReserve = std::uint64_t{256} << 20;
-
 struct RunningWorker {
   PendingAttempt attempt;
   pid_t pid = -1;
@@ -394,17 +390,7 @@ bool receive(RunningWorker& worker) {
     return false;
   }
   if (n == 0) return false;
-  const bool header_done =
-      worker.bytes.size() < rsg::kSnapshotHeaderSize &&
-      worker.bytes.size() + static_cast<std::size_t>(n) >=
-          rsg::kSnapshotHeaderSize;
   worker.bytes.append(chunk, static_cast<std::size_t>(n));
-  if (header_done) {
-    // Size the buffer once from the envelope instead of growing it by
-    // doubling; deserialize_unit_payload still validates every byte.
-    worker.bytes.reserve(static_cast<std::size_t>(std::min(
-        rsg::declared_snapshot_size(worker.bytes), kMaxResultReserve)));
-  }
   return true;
 }
 
@@ -555,7 +541,7 @@ BatchResult run_batch(const std::vector<AnalysisUnit>& units,
            replayed->kind == UnitOutcomeKind::kPartial)) {
         std::string error;
         std::optional<UnitPayload> payload =
-            checkpoint->load_payload(keys[i], &error);
+            checkpoint->load_payload(keys[i], units[i], &error);
         if (payload) {
           adopt_payload(result.units[i], std::move(*payload),
                         replayed->attempts);

@@ -60,9 +60,10 @@ using UnitRunner =
     std::function<std::string(const AnalysisUnit&, const analysis::Options&)>;
 
 /// The default runner: analyze at options.level, run the memory-safety
-/// checkers when `check`, serialize. `salvage` enables the salvage-mode
-/// frontend (the batch default): unsupported constructs degrade to sound
-/// havoc semantics instead of failing the unit.
+/// checkers when `check`, and serialize the payload (exit state, gauges,
+/// findings; the per-statement states stay in this process). `salvage`
+/// enables the salvage-mode frontend (the batch default): unsupported
+/// constructs degrade to sound havoc semantics instead of failing the unit.
 ///
 /// With a non-null `cache` (the content-addressed result cache,
 /// cache/cache.hpp), the lowered unit is looked up after the frontend runs:

@@ -14,7 +14,8 @@ namespace psa::rsg {
 namespace {
 
 constexpr char kMagic[8] = {'P', 'S', 'A', 'S', 'N', 'A', 'P', '1'};
-static_assert(kSnapshotHeaderSize == 8 + 4 + 4 + 8 + 8);
+/// Magic, version, flags, payload size, checksum.
+constexpr std::size_t kSnapshotHeaderSize = 8 + 4 + 4 + 8 + 8;
 
 /// Hard cap on any element count: well above every real workload, well below
 /// anything that could make a corrupted count allocate gigabytes.
@@ -121,18 +122,6 @@ std::string wrap_snapshot(std::string payload) {
   out += w.bytes();
   out += payload;
   return out;
-}
-
-std::uint64_t declared_snapshot_size(std::string_view bytes) noexcept {
-  if (bytes.size() < kSnapshotHeaderSize ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return 0;
-  }
-  ByteReader r(bytes.substr(16, 8));
-  const std::uint64_t size = r.u64("payload size");
-  return kSnapshotHeaderSize +
-         std::min(size, std::numeric_limits<std::uint64_t>::max() -
-                            kSnapshotHeaderSize);
 }
 
 std::string_view unwrap_snapshot(std::string_view bytes) {

@@ -10,7 +10,7 @@
 //
 //   offset  size  field
 //   0       8     magic "PSASNAP1"
-//   8       4     format version (little-endian u32, currently 2)
+//   8       4     format version (little-endian u32, kSnapshotVersion)
 //   12      4     flags (reserved, 0)
 //   16      8     payload size in bytes (little-endian u64)
 //   24      8     FNV-1a 64-bit checksum of the payload bytes
@@ -66,9 +66,10 @@ class SnapshotError : public std::runtime_error {
 /// io_faults_injected, io_degradations); v6 shrank it by the eight counters
 /// of the removed analysis daemon (76 -> 68); v7 grew it with the
 /// canon_fallbacks counter and the four fixpoint-stage timers (68 -> 73);
-/// v8 grew it with shared_visits (73 -> 74).
+/// v8 grew it with shared_visits (73 -> 74); v9 slimmed the batch unit
+/// payload to its exit state and population gauges (driver/payload.hpp).
 /// Older snapshots are rejected with a version mismatch rather than misread.
-inline constexpr std::uint32_t kSnapshotVersion = 8;
+inline constexpr std::uint32_t kSnapshotVersion = 9;
 
 // --- Byte-level primitives ---------------------------------------------------
 
@@ -121,16 +122,6 @@ class ByteReader {
 };
 
 // --- Envelope ----------------------------------------------------------------
-
-/// Size of the header every envelope starts with.
-inline constexpr std::size_t kSnapshotHeaderSize = 32;
-
-/// The whole envelope size (header + payload) that the header at the front
-/// of `bytes` declares, or 0 when `bytes` holds less than a header or does
-/// not start with the magic. Untrusted: a reader may size a buffer from it
-/// (capped), but only unwrap_snapshot() validates.
-[[nodiscard]] std::uint64_t declared_snapshot_size(
-    std::string_view bytes) noexcept;
 
 /// Wrap a payload in the magic/version/size/checksum envelope.
 [[nodiscard]] std::string wrap_snapshot(std::string payload);

@@ -1,6 +1,7 @@
 // Checkpoint journal + snapshot store: replay semantics (last outcome wins,
-// torn lines skipped), fresh-run clearing, and corruption tolerance of
-// load_payload (missing/garbage snapshots -> clean diagnostic, never UB).
+// torn lines skipped), fresh-run clearing, and the validation of
+// load_payload (missing, garbage or another unit's snapshot -> clean
+// diagnostic, never UB).
 #include "driver/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -247,7 +248,7 @@ TEST_F(CheckpointTest, FreshRunClearsStaleJournalAndSnapshots) {
 TEST_F(CheckpointTest, LoadPayloadReportsMissingSnapshot) {
   Checkpoint ckpt(dir_, false);
   std::string error;
-  EXPECT_FALSE(ckpt.load_payload("nope", &error).has_value());
+  EXPECT_FALSE(ckpt.load_payload("nope", unit("nope"), &error).has_value());
   EXPECT_NE(error.find("missing"), std::string::npos);
 }
 
@@ -259,7 +260,7 @@ TEST_F(CheckpointTest, LoadPayloadRejectsGarbageSnapshotCleanly) {
     snap << std::string(256, '\xfe');
   }
   std::string error;
-  EXPECT_FALSE(ckpt.load_payload(key, &error).has_value());
+  EXPECT_FALSE(ckpt.load_payload(key, unit("prog"), &error).has_value());
   EXPECT_NE(error.find("snapshot"), std::string::npos);
 }
 
@@ -280,11 +281,36 @@ TEST_F(CheckpointTest, LoadPayloadRoundTripsARealPayload) {
   }
 
   std::string error;
-  const auto loaded = ckpt.load_payload(key, &error);
+  const auto loaded = ckpt.load_payload(key, unit("prog"), &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   EXPECT_EQ(loaded->unit_name, "prog");
   EXPECT_FALSE(loaded->frontend_ok);
   EXPECT_EQ(loaded->frontend_error, "1:1: error: made up");
+}
+
+TEST_F(CheckpointTest, LoadPayloadRejectsAnotherUnitsSnapshot) {
+  // A snapshot that validates but names another unit or function is not
+  // this unit's result, whatever key it sits under.
+  const std::string key = unit_key(unit("prog"));
+  Checkpoint ckpt(dir_, false);
+  UnitPayload payload;
+  payload.unit_name = "other";
+  payload.function = "main";
+  payload.frontend_ok = false;
+  const support::Interner interner;
+  {
+    std::ofstream snap(ckpt.snapshot_path(key), std::ios::binary);
+    snap << serialize_unit_payload(payload, interner);
+  }
+
+  std::string error;
+  EXPECT_FALSE(ckpt.load_payload(key, unit("prog"), &error).has_value());
+  EXPECT_NE(error.find("snapshot of other (main)"), std::string::npos)
+      << error;
+  EXPECT_FALSE(
+      ckpt.load_payload(key, unit("other", "helper"), &error).has_value());
+  ASSERT_TRUE(ckpt.load_payload(key, unit("other"), &error).has_value())
+      << error;
 }
 
 // ---------------------------------------------------------------------------

@@ -12,10 +12,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "analysis/analyzer.hpp"
+#include "analysis/profile.hpp"
+#include "driver/supervisor.hpp"
 #include "support/metrics.hpp"
 #include "testing/json.hpp"
 #include "testing/program_gen.hpp"
@@ -358,6 +362,61 @@ TEST_F(CliTest, WarmCacheRunReportsNoRecordedCost) {
   }
   EXPECT_EQ(ops_value(file.aggregate, "cache_hits"),
             static_cast<double>(file.units.size()));
+}
+
+TEST_F(CliTest, BatchGaugesEqualInProcessGaugesColdAndWarm) {
+  // The population gauges describe every statement's state, which a unit
+  // payload does not carry: the worker computes them, and a cache hit
+  // serves the cold run's. In every isolation mode and cache state, each
+  // corpus unit's gauges must equal those of an in-process analysis.
+  std::map<std::string, analysis::PopulationGauges> expected;
+  for (const driver::AnalysisUnit& unit : driver::corpus_units()) {
+    analysis::FrontendOptions frontend;
+    frontend.salvage = true;
+    const analysis::ProgramAnalysis program =
+        analysis::prepare(unit.source, unit.function, frontend);
+    expected[unit.name] = analysis::collect_gauges(
+        analysis::analyze_program(program, analysis::Options{}));
+  }
+
+  for (const std::string isolate : {"on", "off"}) {
+    const std::string cache = path_in("cache-" + isolate);
+    for (const std::string pass : {"cold", "warm"}) {
+      SCOPED_TRACE("isolate=" + isolate + ", " + pass + " cache");
+      const std::string path = path_in(isolate + "-" + pass + ".jsonl");
+      ASSERT_EQ(run_cli("--corpus --isolate=" + isolate +
+                            " --jobs=2 --cache-dir=" + cache +
+                            " --metrics-out=" + path,
+                        "")
+                    .exit_code,
+                0);
+      const MetricsFile file = read_metrics_file(path);
+      ASSERT_TRUE(file.ok);
+      ASSERT_EQ(file.units.size(), expected.size());
+      for (const testing::JsonValue& record : file.units) {
+        const std::string name = record.str("unit");
+        SCOPED_TRACE(name);
+        EXPECT_EQ(ops_value(record, "cache_hits"), pass == "warm" ? 1 : 0);
+        ASSERT_EQ(expected.count(name), 1u);
+        const analysis::PopulationGauges& want = expected[name];
+        const testing::JsonValue* gauges = record.find("gauges");
+        ASSERT_NE(gauges, nullptr);
+        EXPECT_GT(want.live_rsgs, 0u);
+        EXPECT_EQ(gauges->num("live_rsgs"),
+                  static_cast<double>(want.live_rsgs));
+        EXPECT_EQ(gauges->num("total_nodes"),
+                  static_cast<double>(want.total_nodes));
+        EXPECT_EQ(gauges->num("max_rsgs_per_stmt"),
+                  static_cast<double>(want.max_rsgs_per_stmt));
+        EXPECT_EQ(gauges->num("max_nodes_per_rsg"),
+                  static_cast<double>(want.max_nodes_per_rsg));
+        EXPECT_EQ(gauges->num("shared_nodes"),
+                  static_cast<double>(want.shared_nodes));
+        EXPECT_EQ(gauges->num("cyclelink_nodes"),
+                  static_cast<double>(want.cyclelink_nodes));
+      }
+    }
+  }
 }
 
 TEST_F(CliTest, MetricsOutWorksInDetailedMode) {

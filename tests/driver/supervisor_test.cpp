@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "driver/checkpoint.hpp"
+#include "support/metrics.hpp"
 
 namespace psa::driver {
 namespace {
@@ -47,6 +48,89 @@ BatchOptions quiet_options() {
   BatchOptions options;
   options.isolate = false;
   return options;
+}
+
+/// Everything a payload carries, field by field: the exit state, gauges,
+/// findings, status, degradation report, salvage summary and deterministic
+/// counters. A loaded payload holds no other statement's state, so there is
+/// nothing else to compare.
+void expect_same_payload(const UnitPayload& a, const UnitPayload& b) {
+  SCOPED_TRACE(a.unit_name);
+  EXPECT_EQ(a.unit_name, b.unit_name);
+  EXPECT_EQ(a.function, b.function);
+  ASSERT_EQ(a.frontend_ok, b.frontend_ok);
+  EXPECT_EQ(a.frontend_error, b.frontend_error);
+  EXPECT_EQ(a.exit_node, b.exit_node);
+  ASSERT_EQ(a.result.per_node.size(), b.result.per_node.size());
+  if (a.frontend_ok) {
+    const analysis::Rsrsg& exit_a = a.result.per_node[a.exit_node];
+    const analysis::Rsrsg& exit_b = b.result.per_node[b.exit_node];
+    EXPECT_GT(exit_a.size(), 0u);
+    // Equal exit states intern the same spelling table in the same order,
+    // so their keys compare; the bytes also compare the spellings.
+    EXPECT_TRUE(exit_a.equals(exit_b));
+    EXPECT_EQ(analysis::serialize_rsrsg(exit_a, *a.interner),
+              analysis::serialize_rsrsg(exit_b, *b.interner));
+  }
+
+  EXPECT_EQ(a.result.status, b.result.status);
+  const analysis::DegradationReport& da = a.result.degradation;
+  const analysis::DegradationReport& db = b.result.degradation;
+  EXPECT_EQ(da.rung_applications, db.rung_applications);
+  EXPECT_EQ(da.deadline_drain, db.deadline_drain);
+  EXPECT_EQ(da.memory_budget_unreachable, db.memory_budget_unreachable);
+  EXPECT_EQ(da.floor, db.floor);
+  ASSERT_EQ(da.events.size(), db.events.size());
+  for (std::size_t i = 0; i < da.events.size(); ++i) {
+    EXPECT_EQ(da.events[i].node, db.events[i].node);
+    EXPECT_EQ(da.events[i].rung, db.events[i].rung);
+    EXPECT_EQ(da.events[i].trigger, db.events[i].trigger);
+    EXPECT_EQ(da.events[i].graphs_before, db.events[i].graphs_before);
+    EXPECT_EQ(da.events[i].graphs_after, db.events[i].graphs_after);
+  }
+
+  EXPECT_EQ(a.gauges.live_rsgs, b.gauges.live_rsgs);
+  EXPECT_EQ(a.gauges.total_nodes, b.gauges.total_nodes);
+  EXPECT_EQ(a.gauges.max_rsgs_per_stmt, b.gauges.max_rsgs_per_stmt);
+  EXPECT_EQ(a.gauges.max_nodes_per_rsg, b.gauges.max_nodes_per_rsg);
+  EXPECT_EQ(a.gauges.shared_nodes, b.gauges.shared_nodes);
+  EXPECT_EQ(a.gauges.cyclelink_nodes, b.gauges.cyclelink_nodes);
+
+  EXPECT_EQ(a.skipped_decls, b.skipped_decls);
+  EXPECT_EQ(a.havoc_sites, b.havoc_sites);
+  EXPECT_EQ(a.unsupported_count, b.unsupported_count);
+  EXPECT_EQ(a.functions_analyzable, b.functions_analyzable);
+  EXPECT_EQ(a.functions_total, b.functions_total);
+  EXPECT_EQ(a.salvage_diagnostics, b.salvage_diagnostics);
+
+  EXPECT_EQ(a.checked, b.checked);
+  ASSERT_EQ(a.findings.size(), b.findings.size());
+  for (std::size_t i = 0; i < a.findings.size(); ++i) {
+    const checker::Finding& fa = a.findings[i];
+    const checker::Finding& fb = b.findings[i];
+    EXPECT_EQ(fa.kind, fb.kind);
+    EXPECT_EQ(fa.severity, fb.severity);
+    EXPECT_EQ(fa.site, fb.site);
+    EXPECT_EQ(fa.loc, fb.loc);
+    EXPECT_EQ(fa.stmt, fb.stmt);
+    EXPECT_EQ(fa.message, fb.message);
+    EXPECT_EQ(fa.witness_node, fb.witness_node);
+    EXPECT_EQ(fa.graphs_bad, fb.graphs_bad);
+    EXPECT_EQ(fa.graphs_total, fb.graphs_total);
+    EXPECT_EQ(fa.degraded, fb.degraded);
+    ASSERT_EQ(fa.trace.size(), fb.trace.size());
+    for (std::size_t t = 0; t < fa.trace.size(); ++t) {
+      EXPECT_EQ(fa.trace[t].loc, fb.trace[t].loc);
+      EXPECT_EQ(fa.trace[t].text, fb.trace[t].text);
+    }
+  }
+
+  for (std::size_t i = 0; i < support::kCounterCount; ++i) {
+    const auto c = static_cast<support::Counter>(i);
+    if (support::is_timer(c)) continue;
+    EXPECT_EQ(a.metrics[c], b.metrics[c]) << support::counter_name(c);
+    EXPECT_EQ(a.result.ops[c], b.result.ops[c]) << support::counter_name(c);
+  }
 }
 
 /// Sets an environment variable (PSA_FAULT_AT, PSA_IO_TRACE, TMPDIR, ...)
@@ -432,6 +516,66 @@ TEST_F(CheckpointedBatch, ResumeReplaysQuarantinedOutcomeWithoutReRunning) {
   EXPECT_TRUE(resumed.units[0].outcome.from_checkpoint);
 }
 
+TEST_F(CheckpointedBatch, ResumeReRunsAUnitServedAnotherUnitsSnapshot) {
+  // b's snapshot copied over a's passes its checksum but names b: the
+  // resume must re-run a, not report b's result under a's name.
+  constexpr std::string_view kTwoNodes =
+      "struct node { struct node *next; int v; };\n"
+      "void main() {\n"
+      "  struct node *p;\n"
+      "  struct node *q;\n"
+      "  p = malloc(sizeof(struct node));\n"
+      "  q = malloc(sizeof(struct node));\n"
+      "  p->next = q;\n"
+      "  q->next = NULL;\n"
+      "}\n";
+  const std::vector<AnalysisUnit> units = {inline_unit("a"),
+                                           inline_unit("b", kTwoNodes)};
+  BatchOptions options = quiet_options();
+  options.checkpoint_dir = dir_;
+  const std::string reference = format_batch_report(run_batch(units, options));
+
+  const Checkpoint paths(dir_, true);
+  fs::copy_file(paths.snapshot_path(unit_key(units[1])),
+                paths.snapshot_path(unit_key(units[0])),
+                fs::copy_options::overwrite_existing);
+
+  options.resume = true;
+  std::vector<std::string> log;
+  options.log = [&](const std::string& line) { log.push_back(line); };
+  std::vector<std::string> ran;
+  const UnitRunner recorder = [&](const AnalysisUnit& unit,
+                                  const analysis::Options& engine) {
+    ran.push_back(unit.name);
+    return run_unit_serialized(unit, engine, false);
+  };
+  const BatchResult resumed = run_batch(units, options, recorder);
+  EXPECT_EQ(ran, std::vector<std::string>{"a"});
+  EXPECT_FALSE(resumed.units[0].outcome.from_checkpoint);
+  EXPECT_TRUE(resumed.units[1].outcome.from_checkpoint);
+  EXPECT_NE(std::find_if(log.begin(), log.end(),
+                         [](const std::string& line) {
+                           return line.starts_with(
+                               "re-run a (checkpoint invalid: snapshot of b");
+                         }),
+            log.end());
+
+  const auto line_of = [](const std::string& report, std::string_view name) {
+    const std::string prefix = "  " + std::string(name) + ": ";
+    const std::size_t at = report.find(prefix);
+    return at == std::string::npos
+               ? std::string()
+               : report.substr(at, report.find('\n', at) - at);
+  };
+  // The two results differ, so serving b's would show in a's line.
+  ASSERT_FALSE(line_of(reference, "a").empty());
+  ASSERT_FALSE(line_of(reference, "b").empty());
+  EXPECT_NE(line_of(reference, "a").substr(5),
+            line_of(reference, "b").substr(5));
+  EXPECT_EQ(line_of(format_batch_report(resumed), "a"),
+            line_of(reference, "a"));
+}
+
 TEST_F(CheckpointedBatch, CorruptSnapshotForcesCleanReRun) {
   const std::vector<AnalysisUnit> units = {inline_unit("u")};
   BatchOptions options = quiet_options();
@@ -484,16 +628,13 @@ TEST(IsolatedBatch, WorkerResultsMatchInProcessResults) {
   const std::vector<AnalysisUnit> units = {inline_unit("a")};
   BatchOptions isolated;
   isolated.isolate = true;
+  isolated.check = true;
   BatchOptions inproc = quiet_options();
+  inproc.check = true;
   const BatchResult a = run_batch(units, isolated);
   const BatchResult b = run_batch(units, inproc);
   ASSERT_TRUE(a.units[0].payload && b.units[0].payload);
-  const auto& ra = a.units[0].payload->result;
-  const auto& rb = b.units[0].payload->result;
-  ASSERT_EQ(ra.per_node.size(), rb.per_node.size());
-  for (std::size_t i = 0; i < ra.per_node.size(); ++i) {
-    EXPECT_TRUE(ra.per_node[i].equals(rb.per_node[i])) << "stmt " << i;
-  }
+  expect_same_payload(*a.units[0].payload, *b.units[0].payload);
 }
 
 // The fault-injection proof at the heart of the tentpole: crash + hang +
@@ -550,13 +691,7 @@ TEST(IsolatedBatch, FaultInjectionProofOverCorpusUnits) {
       // deaths.
       EXPECT_EQ(u.outcome.kind, UnitOutcomeKind::kOk) << u.unit.name;
       ASSERT_TRUE(u.payload && clean.units[i].payload);
-      const auto& rf = u.payload->result;
-      const auto& rc = clean.units[i].payload->result;
-      ASSERT_EQ(rf.per_node.size(), rc.per_node.size());
-      for (std::size_t s = 0; s < rf.per_node.size(); ++s) {
-        EXPECT_TRUE(rf.per_node[s].equals(rc.per_node[s]))
-            << u.unit.name << " stmt " << s;
-      }
+      expect_same_payload(*u.payload, *clean.units[i].payload);
     }
   }
   EXPECT_EQ(faulted.failed_count(), 3u);

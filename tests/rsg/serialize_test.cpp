@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -56,14 +55,15 @@ TEST(SerializeEnvelope, RejectsWrongVersion) {
 }
 
 TEST(SerializeEnvelope, VersionIsPinnedAndPredecessorsAreRejected) {
-  // v8: the metrics array grew by shared_visits (src/rsg/serialize.hpp). A
-  // version bump without updating this pin is a wire-format change nobody
-  // signed off on.
-  EXPECT_EQ(kSnapshotVersion, 8u);
+  // v9: the unit payload carries the exit state and population gauges, not
+  // every statement's state (src/rsg/serialize.hpp). A version bump without
+  // updating this pin is a wire-format change nobody signed off on.
+  EXPECT_EQ(kSnapshotVersion, 9u);
   // Every prior version (v1 pre-metrics, v2 pre-IPA, v3 pre-func-cache,
   // v4 pre-io-counters, v5 with the daemon counters, v6 before the stage
-  // timers, v7 before shared_visits) must be rejected — stale cache entries
-  // and checkpoints re-analyze rather than misparse.
+  // timers, v7 before shared_visits, v8 with per-statement states) must be
+  // rejected — stale cache entries and checkpoints re-analyze rather than
+  // misparse.
   for (std::uint8_t old = 0; old < kSnapshotVersion; ++old) {
     std::string bytes = wrap_snapshot("payload");
     bytes[8] = static_cast<char>(old);
@@ -90,24 +90,6 @@ TEST(SerializeEnvelope, RejectsTrailingGarbage) {
   std::string bytes = wrap_snapshot("payload");
   bytes += "garbage";
   EXPECT_THROW((void)unwrap_snapshot(bytes), SnapshotError);
-}
-
-TEST(SerializeEnvelope, DeclaredSizeReadsOnlyTheHeader) {
-  const std::string bytes = wrap_snapshot("a payload of some length");
-  EXPECT_EQ(declared_snapshot_size(bytes), bytes.size());
-  // The header alone declares the whole size; nothing else is checked.
-  EXPECT_EQ(declared_snapshot_size(bytes.substr(0, kSnapshotHeaderSize)),
-            bytes.size());
-  EXPECT_EQ(declared_snapshot_size(bytes.substr(0, kSnapshotHeaderSize - 1)),
-            0u);
-  std::string bad_magic = bytes;
-  bad_magic[0] = 'X';
-  EXPECT_EQ(declared_snapshot_size(bad_magic), 0u);
-  // A hostile size field saturates instead of wrapping around.
-  std::string huge = bytes;
-  for (std::size_t i = 16; i < 24; ++i) huge[i] = '\xff';
-  EXPECT_EQ(declared_snapshot_size(huge),
-            std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(ByteReaderTest, CountRejectsImpossibleElementCounts) {
