@@ -23,7 +23,8 @@
 // full report (status, cost, exit-state shape facts, loop parallelism,
 // governor summary); --dot writes the exit RSRSG as graphviz; --progressive
 // runs the L1 -> L2 -> L3 driver; --check prints the memory-safety findings
-// (docs/CHECKERS.md) and --sarif writes them as SARIF 2.1.0.
+// (docs/CHECKERS.md) and --sarif writes them as one SARIF 2.1.0 log, one
+// artifact per file.
 //
 // BATCH mode (any of --isolate / --jobs / --timeout-ms / --checkpoint /
 // --resume / --corpus): the crash-isolated supervisor (docs/RESILIENCE.md)
@@ -307,10 +308,12 @@ int usage() {
 }
 
 /// Analyze one file end to end in detailed mode. Returns the number of
-/// findings via `findings_out`; false on failure (unreadable file or
-/// frontend rejection) — the caller keeps going with the other inputs.
+/// findings via `findings_out` and, under --check, appends the file's
+/// findings to `sarif_out`; false on failure (unreadable file or frontend
+/// rejection) — the caller keeps going with the other inputs.
 bool run_file(const std::string& file, const CliOptions& cli,
               std::size_t& findings_out,
+              std::vector<checker::ArtifactFindings>& sarif_out,
               std::vector<analysis::UnitMetrics>& metrics_out) {
   std::ifstream in(file);
   if (!in) {
@@ -391,17 +394,11 @@ bool run_file(const std::string& file, const CliOptions& cli,
     }
 
     if (cli.check) {
-      const auto findings = checker::run_checkers(program, result);
+      auto findings = checker::run_checkers(program, result);
       findings_out += findings.size();
       std::cout << "\nmemory-safety findings (" << findings.size() << "):\n"
                 << checker::format_findings(findings, program);
-      if (!cli.sarif_path.empty()) {
-        checker::SarifOptions sarif;
-        sarif.artifact_uri = file;
-        std::ofstream out(cli.sarif_path);
-        out << checker::to_sarif(findings, sarif);
-        std::cout << "SARIF log written to " << cli.sarif_path << '\n';
-      }
+      sarif_out.push_back({file, std::move(findings)});
     }
 
     if (cli.profile || !cli.metrics_path.empty()) {
@@ -545,13 +542,21 @@ int main(int argc, char** argv) {
 
   std::size_t succeeded = 0;
   std::size_t findings = 0;
+  std::vector<checker::ArtifactFindings> sarif;
   std::vector<analysis::UnitMetrics> metrics;
   for (std::size_t i = 0; i < cli.files.size(); ++i) {
     if (cli.files.size() > 1) {
       if (i != 0) std::cout << '\n';
       std::cout << "=== " << cli.files[i] << " ===\n";
     }
-    if (run_file(cli.files[i], cli, findings, metrics)) ++succeeded;
+    if (run_file(cli.files[i], cli, findings, sarif, metrics)) ++succeeded;
+  }
+  if (!cli.sarif_path.empty() && !sarif.empty()) {
+    // One log for every checked file, one artifact each; a single file's
+    // log is the same bytes checker::to_sarif writes.
+    std::ofstream out(cli.sarif_path);
+    out << checker::to_sarif_batch(sarif);
+    std::cout << "SARIF log written to " << cli.sarif_path << '\n';
   }
   if (!cli.metrics_path.empty()) {
     std::ofstream out(cli.metrics_path);

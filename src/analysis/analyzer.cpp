@@ -117,27 +117,13 @@ AnalysisResult analyze_program(const ProgramAnalysis& program,
   // phase_ipa timers next to the engine counters, not just the final run.
   support::MetricsRegion unit_region;
 
-  // Interprocedural summary pass (src/ipa): computed once per unit, applied
-  // by the kCall transfer of every analysis run below. Skipped entirely when
-  // no CFG contains a call — the common single-function case pays nothing.
+  // Interprocedural summary pass (src/ipa): the summaries the target's call
+  // sites reach, applied by its kCall transfers. A target without calls
+  // demands none — the common single-function case pays nothing.
   ipa::SummaryTable summaries;
   if (opts.enable_summaries && opts.summaries == nullptr) {
-    bool any_call = false;
-    for (const auto& fc : program.unit_cfgs) {
-      for (const auto& node : fc.cfg.nodes()) {
-        if (node.stmt.op == cfg::SimpleOp::kCall) {
-          any_call = true;
-          break;
-        }
-      }
-      if (any_call) break;
-    }
-    if (any_call) {
-      PSA_PHASE_TIMER(ipa_timer, support::Counter::kPhaseIpaWallNs,
-                      support::Counter::kPhaseIpaCpuNs);
-      summaries = ipa::compute_summaries(program, opts);
-      opts.summaries = &summaries;
-    }
+    summaries = ipa::compute_summaries(program, opts);
+    opts.summaries = &summaries;
   }
   AnalysisResult result = analyze_cfg(program.cfg, program.induction, opts);
   result.ops = unit_region.delta();

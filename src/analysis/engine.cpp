@@ -383,11 +383,12 @@ class Engine {
       }
 
       // Accumulate into the node's RSRSG; propagate only on change.
+      Rsrsg& state = result.per_node[id];
       bool changed = false;
       for (auto& batch : produced) {
         for (auto& g : batch) {
-          changed |= result.per_node[id].insert(std::move(g), ctx_.policy,
-                                                options_.enable_join);
+          changed |= state.insert(std::move(g), ctx_.policy,
+                                  options_.enable_join);
         }
       }
       end_stage(support::Counter::kPhaseJoinWallNs);
@@ -397,14 +398,16 @@ class Engine {
       // reapply, and escalation applies its transform directly), so the
       // sweep is skipped — it is a full degrade pass over the set and would
       // otherwise dominate the coarse fixpoint's cost.
-      if (changed) changed |= governor.reapply(id, result.per_node[id]);
-      if (options_.widen_threshold != 0 &&
-          result.per_node[id].size() > options_.widen_threshold) {
+      if (changed) governor.reapply(id, state);
+      // A set that outgrows the threshold enters widened mode once; from
+      // then on every insert folds into its ALIAS-matching member.
+      if (options_.widen_threshold != 0 && !state.widened() &&
+          state.size() > options_.widen_threshold) {
         PSA_COUNT(support::Counter::kWidenings);
-        changed |= result.per_node[id].widen(ctx_.policy,
-                                             options_.widen_threshold);
+        state.widen(ctx_.policy);
+        changed = true;
       }
-      if (result.per_node[id].size() > options_.max_rsgs_per_set) {
+      if (state.size() > options_.max_rsgs_per_set) {
         if (!degrade) {
           status = AnalysisStatus::kSetLimit;
           break;
@@ -413,9 +416,8 @@ class Engine {
         // out. At the top the widened set keeps one member per ALIAS
         // pattern — if even that exceeds the cap the cap is unreachable and
         // the (bounded) set is carried over it.
-        while (result.per_node[id].size() > options_.max_rsgs_per_set &&
-               governor.escalate(id, result.per_node[id],
-                                 AnalysisStatus::kSetLimit) !=
+        while (state.size() > options_.max_rsgs_per_set &&
+               governor.escalate(id, state, AnalysisStatus::kSetLimit) !=
                    DegradationRung::kNone) {
           changed = true;
         }

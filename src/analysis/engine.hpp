@@ -69,17 +69,14 @@ struct Options {
 
   // --- Interprocedural analysis (src/ipa, docs/ALGORITHMS.md). ------------
 
-  /// Master switch for the summary pass: analyze_program computes function
-  /// summaries for the unit and kCall statements apply them. Off, every
-  /// call site takes the sound havoc fallback (the PR 5 behavior).
+  /// Master switch for the summary pass: analyze_program computes the
+  /// summaries of the functions the target's calls reach and kCall
+  /// statements apply them. Off, every call site takes the sound havoc
+  /// fallback.
   bool enable_summaries = true;
   /// Kleene iteration cap for recursive call-graph SCCs; an over-cap cycle
   /// falls back to havoc at its call sites (summaries stay analyzed=false).
   std::size_t max_summary_iters = 8;
-  /// Node-visit budget for each per-callee summary fixpoint (smaller than
-  /// max_node_visits: a summary that needs the full intraprocedural budget
-  /// is not worth its cost — the callee degrades to havoc instead).
-  std::uint64_t summary_visit_budget = 200'000;
   /// Summary table for the kCall transfer; not owned. Set automatically by
   /// analyze_program (null or missing entries fall back to havoc).
   const ipa::SummaryTable* summaries = nullptr;

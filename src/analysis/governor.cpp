@@ -52,7 +52,6 @@ std::string DegradationReport::summary() const {
 ResourceGovernor::ResourceGovernor(const Options& options, const cfg::Cfg& cfg,
                                    const std::vector<rsg::Symbol>& selectors)
     : policy_(options.policy()),
-      widen_threshold_(options.widen_threshold),
       types_(options.types),
       deadline_seconds_(static_cast<double>(options.deadline_ms) / 1000.0),
       deadline_allowance_(deadline_seconds_),
@@ -73,6 +72,27 @@ bool ResourceGovernor::begin_drain() {
   return true;
 }
 
+void ResourceGovernor::degrade(DegradationRung rung, Rsrsg& set) {
+  switch (rung) {
+    case DegradationRung::kNone:
+      return;
+    case DegradationRung::kWiden:
+      // Once widened, the set folds every insert itself and widen() does
+      // nothing. This matters for a raised floor: sets that were empty when
+      // the floor rose still enter widened mode on their first reapply.
+      set.widen(policy_);
+      return;
+    case DegradationRung::kForceJoin:
+      set.degrade_members(policy_, [](rsg::Rsg& g) { rsg::drop_must_info(g); });
+      return;
+    case DegradationRung::kSummarize:
+      set.degrade_members(policy_, [this](rsg::Rsg& g) {
+        rsg::summarize_top(g, policy_, selectors_, types_);
+      });
+      return;
+  }
+}
+
 void ResourceGovernor::apply(cfg::NodeId node, DegradationRung rung,
                              Rsrsg& set, AnalysisStatus trigger) {
   support::WallTimer rung_timer;
@@ -81,21 +101,7 @@ void ResourceGovernor::apply(cfg::NodeId node, DegradationRung rung,
   event.rung = rung;
   event.trigger = trigger;
   event.graphs_before = set.size();
-  switch (rung) {
-    case DegradationRung::kNone:
-      return;
-    case DegradationRung::kWiden:
-      set.widen(policy_, std::max<std::size_t>(1, widen_threshold_ / 2));
-      break;
-    case DegradationRung::kForceJoin:
-      set.degrade_members(policy_, [](rsg::Rsg& g) { rsg::drop_must_info(g); });
-      break;
-    case DegradationRung::kSummarize:
-      set.degrade_members(policy_, [this](rsg::Rsg& g) {
-        rsg::summarize_top(g, policy_, selectors_, types_);
-      });
-      break;
-  }
+  degrade(rung, set);
   event.graphs_after = set.size();
   const auto idx = static_cast<std::size_t>(rung);
   report_.rung_applications[idx] += 1;
@@ -123,26 +129,11 @@ void ResourceGovernor::collapse(cfg::NodeId node, Rsrsg& set,
   apply(node, DegradationRung::kSummarize, set, trigger);
 }
 
-bool ResourceGovernor::reapply(cfg::NodeId node, Rsrsg& set) {
-  if (rung(node) != DegradationRung::kNone)
-    PSA_COUNT(support::Counter::kGovernorReapplies);
-  switch (rung(node)) {
-    case DegradationRung::kNone:
-      return false;
-    case DegradationRung::kWiden:
-      // Once widened, the set folds every insert itself; widen() is then a
-      // cheap no-op. This matters for a raised floor: sets that were empty
-      // when the floor rose still enter widened mode here.
-      return set.widen(policy_, std::max<std::size_t>(1, widen_threshold_ / 2));
-    case DegradationRung::kForceJoin:
-      return set.degrade_members(
-          policy_, [](rsg::Rsg& g) { rsg::drop_must_info(g); });
-    case DegradationRung::kSummarize:
-      return set.degrade_members(policy_, [this](rsg::Rsg& g) {
-        rsg::summarize_top(g, policy_, selectors_, types_);
-      });
-  }
-  return false;
+void ResourceGovernor::reapply(cfg::NodeId node, Rsrsg& set) {
+  const DegradationRung current = rung(node);
+  if (current == DegradationRung::kNone) return;
+  PSA_COUNT(support::Counter::kGovernorReapplies);
+  degrade(current, set);
 }
 
 void ResourceGovernor::raise_floor(DegradationRung rung) {

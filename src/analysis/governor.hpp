@@ -39,8 +39,8 @@ struct Options;                            // engine.hpp
 /// shrinks must-information — see DESIGN.md "Resource governor".
 enum class DegradationRung : std::uint8_t {
   kNone = 0,
-  /// Halve the effective widen threshold and widen the set (coarsen every
-  /// member to its (TYPE, SPATH0) skeleton, force-join ALIAS-equal members).
+  /// Widen the set (coarsen every member to its (TYPE, SPATH0) skeleton,
+  /// force-join ALIAS-equal members) and keep it in widened mode.
   kWiden = 1,
   /// Additionally drop all must-information (SELIN/SELOUT demoted to
   /// possible, CYCLELINKS and TOUCH cleared), then force-join ALIAS-equal
@@ -108,7 +108,6 @@ class ResourceGovernor {
   /// to 2x the original deadline so a maximally-coarse fixpoint can finish.
   /// Returns false when already draining — the caller must stop.
   bool begin_drain();
-  [[nodiscard]] bool draining() const noexcept { return draining_; }
 
   /// Escalate `node` one rung and apply the transform to `set`. Returns the
   /// rung applied, or kNone when the node is already at the top.
@@ -120,8 +119,8 @@ class ResourceGovernor {
 
   /// Re-apply the node's current rung after new graphs were inserted, so a
   /// degraded statement can never re-accumulate precision (and cost) past
-  /// its rung. Returns true when the set changed.
-  bool reapply(cfg::NodeId node, Rsrsg& set);
+  /// its rung.
+  void reapply(cfg::NodeId node, Rsrsg& set);
 
   /// Raise the floor rung every statement is held to (global exhaustion:
   /// visit ladder exhausted, memory budget unreachable, deadline drain).
@@ -130,24 +129,20 @@ class ResourceGovernor {
   [[nodiscard]] DegradationRung rung(cfg::NodeId node) const {
     return std::max(rungs_[node], floor_);
   }
-  [[nodiscard]] DegradationRung floor_rung() const noexcept { return floor_; }
 
-  void note_deadline_drain() { report_.deadline_drain = true; }
   void note_memory_unreachable() { report_.memory_budget_unreachable = true; }
-
-  [[nodiscard]] double elapsed_seconds() const {
-    return timer_.elapsed_seconds();
-  }
 
   /// Move the accumulated report out (end of run).
   [[nodiscard]] DegradationReport take_report() { return std::move(report_); }
 
  private:
+  /// Apply `rung`'s transform to `set`.
+  void degrade(DegradationRung rung, Rsrsg& set);
+  /// Escalation: degrade() and record the event in the report.
   void apply(cfg::NodeId node, DegradationRung rung, Rsrsg& set,
              AnalysisStatus trigger);
 
   rsg::LevelPolicy policy_;
-  std::size_t widen_threshold_;
   /// Struct table for typed ⊤ saturation (may be null — see Options::types).
   const lang::TypeTable* types_ = nullptr;
   support::WallTimer timer_;

@@ -266,8 +266,6 @@ constexpr PhaseRow kPhaseRows[] = {
     {"join", Counter::kPhaseJoinWallNs, Counter::kPhaseJoinWallNs, true},
     {"widen", Counter::kPhaseWidenWallNs, Counter::kPhaseWidenWallNs, true},
     {"checkers", Counter::kPhaseCheckerWallNs, Counter::kPhaseCheckerCpuNs},
-    {"serialize", Counter::kPhaseSerializeWallNs,
-     Counter::kPhaseSerializeCpuNs},
     {"cache lookup", Counter::kPhaseCacheLookupWallNs,
      Counter::kPhaseCacheLookupCpuNs},
 };

@@ -17,11 +17,9 @@ const Rsrsg::Contexts& Rsrsg::Member::contexts() const {
   return *contexts_;
 }
 
-std::pair<Rsg, rsg::CanonicalKey> Rsrsg::Member::release(
-    std::shared_ptr<Member> member) {
-  if (member.use_count() > 1) return {member->graph_, member->key()};
-  (void)member->key();  // a restored member has none yet
-  return {std::move(member->graph_), std::move(*member->key_)};
+Rsg Rsrsg::Member::release(std::shared_ptr<Member> member) {
+  if (member.use_count() > 1) return member->graph_;
+  return std::move(member->graph_);
 }
 
 bool Rsrsg::contains(const rsg::CanonicalKey& key) const {
@@ -85,46 +83,28 @@ bool Rsrsg::insert(Rsg g, const LevelPolicy& policy, bool enable_join) {
   return true;
 }
 
-bool Rsrsg::widen(const LevelPolicy& policy, std::size_t max_graphs) {
-  if (widened_ && members_.size() <= max_graphs) return false;
+void Rsrsg::widen(const LevelPolicy& policy) {
   // Re-insert every member through the widened-mode path: coarsen, then fold
   // ALIAS-equal members together. The result has at most one member per
   // ALIAS relation.
-  return reinsert_members(policy, nullptr);
+  if (!widened_) reinsert_members(policy, nullptr);
 }
 
-bool Rsrsg::degrade_members(const LevelPolicy& policy,
+void Rsrsg::degrade_members(const LevelPolicy& policy,
                             const std::function<void(Rsg&)>& transform) {
-  return reinsert_members(policy, transform);
+  reinsert_members(policy, transform);
 }
 
-bool Rsrsg::reinsert_members(const LevelPolicy& policy,
+void Rsrsg::reinsert_members(const LevelPolicy& policy,
                              const std::function<void(Rsg&)>& transform) {
-  const bool was_widened = widened_;
   widened_ = true;
   Members old;
   old.swap(members_);
-  std::vector<rsg::CanonicalKey> old_keys;
-  old_keys.reserve(old.size());
   for (auto& member : old) {
-    auto [g, key] = Member::release(std::move(member));
-    old_keys.push_back(std::move(key));
+    Rsg g = Member::release(std::move(member));
     if (transform) transform(g);
-    insert(std::move(g), policy, /*enable_join=*/true);
+    insert(std::move(g), policy);
   }
-  // A widened set may *legitimately* exceed max_graphs (one member per
-  // ALIAS pattern is the floor), so "still too big" is not "changed".
-  // Report change only when folding actually moved something — otherwise a
-  // caller re-widening an over-threshold set on every visit would requeue
-  // its successors forever. Same cardinality: changed iff some member's key
-  // moved (order-sensitive and thus conservative — a spurious `true` only
-  // requeues the successors once more).
-  return !was_widened ||
-         !std::equal(members_.begin(), members_.end(), old_keys.begin(),
-                     old_keys.end(),
-                     [](const auto& m, const rsg::CanonicalKey& k) {
-                       return m->key() == k;
-                     });
 }
 
 Rsrsg Rsrsg::restore(std::vector<Rsg> graphs, bool widened) {

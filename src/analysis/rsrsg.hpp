@@ -76,10 +76,10 @@ class Rsrsg {
   /// matching member, which makes the set evolve monotonically in a finite
   /// lattice (links/SHARED/SHSEL only grow; SELIN/SELOUT/TOUCH only shrink)
   /// and guarantees the fixpoint terminates. Members with pairwise different
-  /// ALIAS relations cannot be fused; the set may stay above `max_graphs` —
-  /// the caller decides whether that is a hard failure. Returns true when
-  /// the set changed.
-  bool widen(const LevelPolicy& policy, std::size_t max_graphs);
+  /// ALIAS relations cannot be fused, so a widened set holds one member per
+  /// ALIAS pattern and widening it again would change nothing: on a widened
+  /// set the call does nothing.
+  void widen(const LevelPolicy& policy);
 
   [[nodiscard]] bool widened() const noexcept { return widened_; }
 
@@ -97,8 +97,8 @@ class Rsrsg {
   /// (coarsen + force-join ALIAS-equal members). The set enters widened mode,
   /// so later inserts stay coarse and the fixpoint terminates. `transform`
   /// must only widen (merge nodes, grow may-info, shrink must-info) for the
-  /// result to stay sound. Returns true when the set changed.
-  bool degrade_members(const LevelPolicy& policy,
+  /// result to stay sound.
+  void degrade_members(const LevelPolicy& policy,
                        const std::function<void(Rsg&)>& transform);
 
   [[nodiscard]] std::size_t size() const noexcept { return members_.size(); }
@@ -138,10 +138,9 @@ class Rsrsg {
     [[nodiscard]] const rsg::CanonicalKey& key() const;
     [[nodiscard]] const Contexts& contexts() const;
 
-    /// The graph and key of `member`: moved out when the caller held the
-    /// only handle, copied when another set still shares it.
-    [[nodiscard]] static std::pair<Rsg, rsg::CanonicalKey> release(
-        std::shared_ptr<Member> member);
+    /// The graph of `member`: moved out when the caller held the only
+    /// handle, copied when another set still shares it.
+    [[nodiscard]] static Rsg release(std::shared_ptr<Member> member);
 
    private:
     Rsg graph_;
@@ -151,8 +150,8 @@ class Rsrsg {
 
   bool fold_widened(Rsg g, const LevelPolicy& policy);
   [[nodiscard]] bool contains(const rsg::CanonicalKey& key) const;
-  /// Rebuild through insert() after `transform`; true when the set changed.
-  bool reinsert_members(const LevelPolicy& policy,
+  /// Enter widened mode and rebuild through insert() after `transform`.
+  void reinsert_members(const LevelPolicy& policy,
                         const std::function<void(Rsg&)>& transform);
 
   Members members_;

@@ -74,7 +74,6 @@ void append_options(KeyBuilder& key, const analysis::Options& options,
   // call site, so flipping them must never resurface a stale entry.
   key.u8(options.enable_summaries ? 1 : 0);
   key.u64(options.max_summary_iters);
-  key.u64(options.summary_visit_budget);
 }
 
 /// The struct table: names, field order, field types. Declaration order is

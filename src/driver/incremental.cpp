@@ -1,31 +1,19 @@
 #include "driver/incremental.hpp"
 
 #include <algorithm>
-#include <set>
 
+#include "ipa/callgraph.hpp"
 #include "ipa/summary_io.hpp"
 #include "rsg/serialize.hpp"
 #include "support/metrics.hpp"
 
 namespace psa::driver {
 
-std::vector<support::Symbol> demand_roots(const cfg::Cfg& cfg) {
-  std::vector<support::Symbol> roots;
-  std::set<support::Symbol> seen;
-  for (const cfg::CfgNode& node : cfg.nodes()) {
-    if (node.stmt.op != cfg::SimpleOp::kCall) continue;
-    if (node.stmt.callee.valid() && seen.insert(node.stmt.callee).second) {
-      roots.push_back(node.stmt.callee);
-    }
-  }
-  return roots;
-}
-
 std::vector<cache::CalleeDep> callee_deps(const cfg::Cfg& cfg,
                                           const support::Interner& interner,
                                           const ipa::SummaryTable& table) {
   std::vector<cache::CalleeDep> deps;
-  for (const support::Symbol callee : demand_roots(cfg)) {
+  for (const support::Symbol callee : ipa::direct_callees(cfg)) {
     cache::CalleeDep dep;
     dep.name = interner.spelling(callee);
     const auto it = table.find(callee);

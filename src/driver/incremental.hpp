@@ -36,16 +36,10 @@
 
 namespace psa::driver {
 
-/// Names of `cfg`'s direct callees (deduplicated, first-seen order): the
-/// demand roots of the incremental summary pass. Functions not transitively
-/// reachable from these can never have their summary consulted while
-/// analyzing `cfg`, so they are neither probed nor computed.
-[[nodiscard]] std::vector<support::Symbol> demand_roots(const cfg::Cfg& cfg);
-
-/// `cfg`'s direct callees as function-tier key deps: deduplicated, sorted by
-/// spelling, each resolved against `table` (absent or unanalyzed entries
-/// still carry their identity — an extern gaining a summary must change the
-/// key).
+/// `cfg`'s direct callees (ipa::direct_callees) as function-tier key deps:
+/// sorted by spelling, each resolved against `table` (absent or unanalyzed
+/// entries still carry their identity — an extern gaining a summary must
+/// change the key).
 [[nodiscard]] std::vector<cache::CalleeDep> callee_deps(
     const cfg::Cfg& cfg, const support::Interner& interner,
     const ipa::SummaryTable& table);

@@ -100,8 +100,6 @@ constexpr std::uint32_t kMaxStatements = std::uint32_t{1} << 20;
 
 std::string serialize_unit_payload(const UnitPayload& payload,
                                    const support::Interner& interner) {
-  PSA_PHASE_TIMER(serialize_timer, support::Counter::kPhaseSerializeWallNs,
-                  support::Counter::kPhaseSerializeCpuNs);
   rsg::SymbolTableBuilder table(interner);
   ByteWriter body;
   body.str(payload.unit_name);

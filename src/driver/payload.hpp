@@ -71,9 +71,6 @@ struct UnitPayload {
   /// Whole-unit operation counters and phase timers (frontend + fixpoint +
   /// checkers), captured as a support::MetricsRegion delta around the
   /// worker's run. Superset of result.ops, which covers the fixpoint only.
-  /// The serialize phase itself cannot be timed here (the payload is closed
-  /// before serialization finishes), so phase_serialize_* is measured by the
-  /// caller of serialize_unit_payload — see docs/OBSERVABILITY.md.
   support::MetricsSnapshot metrics;
 
   /// Owns the symbols referenced by `result` after deserialization. Null for

@@ -208,9 +208,7 @@ std::string run_unit_serialized(const AnalysisUnit& unit,
     // untouched neighbors hit.
     cache::CacheKey key;
     cache::CacheKey func_key;
-    bool func_key_valid = false;
     ipa::SummaryTable summaries;
-    bool inject_summaries = false;
     if (cache != nullptr) {
       key = cache::cache_key(program, engine, check, salvage);
       std::string hit_bytes;
@@ -228,21 +226,12 @@ std::string run_unit_serialized(const AnalysisUnit& unit,
       // still serves the report from cache, and an edited function is the
       // only fixpoint that re-runs.
       if (engine.enable_summaries) {
-        const std::vector<support::Symbol> roots = demand_roots(program.cfg);
-        if (!roots.empty()) {
-          CachedSummaries reuse(*cache, program, engine, salvage);
-          PSA_PHASE_TIMER(ipa_timer, support::Counter::kPhaseIpaWallNs,
-                          support::Counter::kPhaseIpaCpuNs);
-          summaries = ipa::compute_summaries(program, engine, &reuse, &roots);
-        }
-        // Inject even when empty (no call sites): analyze_program would
-        // otherwise recompute every sibling's summary the target never uses.
-        inject_summaries = true;
+        CachedSummaries reuse(*cache, program, engine, salvage);
+        summaries = ipa::compute_summaries(program, engine, &reuse);
       }
       func_key = cache::function_result_key(
           program, engine, check, salvage,
           callee_deps(program.cfg, program.interner(), summaries));
-      func_key_valid = true;
       if (std::optional<UnitPayload> cached =
               probe_cache(*cache, func_key, cache::EntryTier::kFunction,
                           hit_bytes)) {
@@ -254,8 +243,10 @@ std::string run_unit_serialized(const AnalysisUnit& unit,
       }
     }
 
+    // The cached path resolved the summaries above; the analysis reuses
+    // them instead of computing them again.
     analysis::Options engine_run = engine;
-    if (inject_summaries) engine_run.summaries = &summaries;
+    if (cache != nullptr) engine_run.summaries = &summaries;
     payload.result = analysis::analyze_program(program, engine_run);
     payload.exit_node = program.cfg.exit();
     payload.gauges = analysis::collect_gauges(payload.result);
@@ -281,10 +272,8 @@ std::string run_unit_serialized(const AnalysisUnit& unit,
       // degrades to "no cache". The
       // same bytes land under both keys: the unit entry is the fast path,
       // the function-tier result entry survives sibling edits.
-      if (func_key_valid) {
-        (void)cache->store(func_key, bytes, cache::StoreFault::kNone,
-                           cache::EntryTier::kFunction);
-      }
+      (void)cache->store(func_key, bytes, cache::StoreFault::kNone,
+                         cache::EntryTier::kFunction);
       (void)cache->store(key, bytes);
     }
     return bytes;

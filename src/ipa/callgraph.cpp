@@ -3,12 +3,25 @@
 #include <algorithm>
 #include <limits>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace psa::ipa {
 
 namespace {
 constexpr std::uint32_t kUnvisited = std::numeric_limits<std::uint32_t>::max();
 }  // namespace
+
+std::vector<Symbol> direct_callees(const cfg::Cfg& cfg) {
+  std::vector<Symbol> callees;
+  std::unordered_set<Symbol> seen;
+  for (const cfg::CfgNode& node : cfg.nodes()) {
+    if (node.stmt.op != cfg::SimpleOp::kCall) continue;
+    if (node.stmt.callee.valid() && seen.insert(node.stmt.callee).second) {
+      callees.push_back(node.stmt.callee);
+    }
+  }
+  return callees;
+}
 
 CallGraph::CallGraph(const std::vector<CallGraphNode>& functions) {
   const std::size_t n = functions.size();
@@ -23,14 +36,11 @@ CallGraph::CallGraph(const std::vector<CallGraphNode>& functions) {
 
   for (std::size_t i = 0; i < n; ++i) {
     if (functions[i].cfg == nullptr) continue;
-    for (const cfg::CfgNode& node : functions[i].cfg->nodes()) {
-      if (node.stmt.op != cfg::SimpleOp::kCall) continue;
-      const auto it = by_name.find(node.stmt.callee);
+    for (const Symbol callee : direct_callees(*functions[i].cfg)) {
+      const auto it = by_name.find(callee);
       if (it != by_name.end()) edges_[i].push_back(it->second);
     }
     std::sort(edges_[i].begin(), edges_[i].end());
-    edges_[i].erase(std::unique(edges_[i].begin(), edges_[i].end()),
-                    edges_[i].end());
   }
 
   condense();

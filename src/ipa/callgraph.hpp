@@ -19,6 +19,11 @@ namespace psa::ipa {
 
 using support::Symbol;
 
+/// Names of `cfg`'s direct callees (deduplicated, first-seen order): the
+/// call edges leaving one function. The summary pass starts its demand set
+/// here, and the function-tier cache keys on these callees' summaries.
+[[nodiscard]] std::vector<Symbol> direct_callees(const cfg::Cfg& cfg);
+
 /// One function of the unit, by name, with its lowered CFG.
 struct CallGraphNode {
   Symbol name;

@@ -1,6 +1,7 @@
 #include "ipa/summarize.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "analysis/semantics.hpp"
@@ -10,6 +11,12 @@
 namespace psa::ipa {
 
 namespace {
+
+/// Node-visit budget of each per-callee summary fixpoint (smaller than the
+/// default Options::max_node_visits: a summary that needs the full
+/// intraprocedural budget is not worth its cost — the callee degrades to
+/// havoc instead).
+constexpr std::uint64_t kSummaryVisitBudget = 200'000;
 
 using analysis::FunctionCfg;
 using analysis::ProgramAnalysis;
@@ -92,7 +99,7 @@ FunctionSummary summarize_one(const ProgramAnalysis& program,
   opts.types = &program.unit.types;
   opts.summaries = &table;
   opts.entry_states = &entry_states;
-  opts.max_node_visits = base.summary_visit_budget;
+  opts.max_node_visits = kSummaryVisitBudget;
   // Summary runs are budgeted by visits alone: a wall-clock deadline would
   // make the table — and everything cached from it — nondeterministic.
   opts.deadline_ms = 0;
@@ -219,44 +226,39 @@ FunctionSummary summarize_one(const ProgramAnalysis& program,
 }  // namespace
 
 SummaryTable compute_summaries(const ProgramAnalysis& program,
-                               const analysis::Options& options) {
-  return compute_summaries(program, options, nullptr, nullptr);
-}
-
-SummaryTable compute_summaries(const ProgramAnalysis& program,
                                const analysis::Options& options,
-                               SummaryReuse* reuse,
-                               const std::vector<Symbol>* roots) {
+                               SummaryReuse* reuse) {
+  // Demand: only the functions the target's call sites reach can ever have
+  // their summary consulted — directly by the target's kCall transfers or
+  // while computing a demanded caller's summary. The roots are the target's
+  // direct callees; everything else is skipped outright.
+  std::vector<bool> demanded(program.unit_cfgs.size(), false);
+  std::vector<std::size_t> work;
+  for (const Symbol callee : direct_callees(program.cfg)) {
+    for (std::size_t i = 0; i < program.unit_cfgs.size(); ++i) {
+      if (program.unit_cfgs[i].name == callee && !demanded[i]) {
+        demanded[i] = true;
+        work.push_back(i);
+      }
+    }
+  }
+  if (work.empty()) return {};
+  PSA_PHASE_TIMER(ipa_timer, support::Counter::kPhaseIpaWallNs,
+                  support::Counter::kPhaseIpaCpuNs);
+
   std::vector<CallGraphNode> nodes;
   nodes.reserve(program.unit_cfgs.size());
   for (const FunctionCfg& fc : program.unit_cfgs) {
     nodes.push_back({fc.name, &fc.cfg});
   }
   const CallGraph cg(nodes);
-
-  // Demand filter: with explicit roots, only functions transitively
-  // reachable from them can ever have their summary consulted — either
-  // directly by the target's kCall transfers or indirectly while computing
-  // a demanded caller's summary. Everything else is skipped outright.
-  std::vector<bool> demanded(program.unit_cfgs.size(), roots == nullptr);
-  if (roots != nullptr) {
-    std::vector<std::size_t> work;
-    for (const Symbol root : *roots) {
-      for (std::size_t i = 0; i < program.unit_cfgs.size(); ++i) {
-        if (program.unit_cfgs[i].name == root && !demanded[i]) {
-          demanded[i] = true;
-          work.push_back(i);
-        }
-      }
-    }
-    while (!work.empty()) {
-      const std::size_t caller = work.back();
-      work.pop_back();
-      for (const std::size_t callee : cg.edges()[caller]) {
-        if (!demanded[callee]) {
-          demanded[callee] = true;
-          work.push_back(callee);
-        }
+  while (!work.empty()) {
+    const std::size_t caller = work.back();
+    work.pop_back();
+    for (const std::size_t callee : cg.edges()[caller]) {
+      if (!demanded[callee]) {
+        demanded[callee] = true;
+        work.push_back(callee);
       }
     }
   }

@@ -1,14 +1,16 @@
 // Bottom-up summary computation over the call-graph SCCs (docs/ALGORITHMS.md).
 //
-// Every analyzable function of the unit is analyzed once (non-recursive
-// case) or Kleene-iterated to a stable summary table (recursive SCCs, capped
-// at Options::max_summary_iters) in callee-first order, so each analysis run
-// already has final summaries for every call that leaves its SCC. The
-// per-callee run starts from the entry abstraction of its struct-pointer
-// parameters (analysis::bind_unknown_param) and is budgeted by
-// Options::summary_visit_budget; a run that fails to converge — or an SCC
-// whose iteration cap trips — leaves `analyzed == false`, and the kCall
-// transfer havoc-falls-back at those sites.
+// The functions the target's call sites reach — its direct callees and
+// everything they call — are analyzed once (non-recursive case) or
+// Kleene-iterated to a stable summary table (recursive SCCs, capped at
+// Options::max_summary_iters) in callee-first order, so each analysis run
+// already has final summaries for every call that leaves its SCC. No other
+// function is summarized: nothing could consult its summary. The per-callee
+// run starts from the entry abstraction of its struct-pointer parameters
+// (analysis::bind_unknown_param) and is budgeted by a fixed node-visit
+// count; a run that fails to converge — or an SCC whose iteration cap trips
+// — leaves `analyzed == false`, and the kCall transfer havoc-falls-back at
+// those sites.
 //
 // The incremental cache tier (docs/CACHING.md) plugs in through
 // SummaryReuse: because SCCs are processed callee-first, a reuse provider is
@@ -49,23 +51,15 @@ class SummaryReuse {
                      const FunctionSummary& summary) = 0;
 };
 
-/// Compute the summary table for every function in `program.unit_cfgs`.
-/// `options` provides the analysis level, budgets and IPA knobs; its
+/// Compute the summaries the analysis of `program.cfg` can consult: those of
+/// its direct callees (ipa::direct_callees) and of every function they
+/// reach. `options` provides the analysis level and IPA knobs; its
 /// `summaries`/`entry_states` fields are ignored (they are outputs of this
-/// pass, not inputs).
-[[nodiscard]] SummaryTable compute_summaries(
-    const analysis::ProgramAnalysis& program,
-    const analysis::Options& options);
-
-/// Incremental form: same bottom-up pass, but each non-recursive function is
-/// first offered to `reuse` (either argument may be null — both null is the
-/// plain overload). When `roots` is non-null, only functions transitively
-/// reachable from those callee names are processed at all — the demand set
-/// of a target whose direct callees are `roots`; everything else is skipped
-/// (its summary could never be consulted), keeping the probe count equal to
-/// the number of summaries the analysis can actually use.
+/// pass, not inputs). When `reuse` is non-null, each non-recursive function
+/// is first offered to it. Books the `ipa` phase timers only when some
+/// function is demanded.
 [[nodiscard]] SummaryTable compute_summaries(
     const analysis::ProgramAnalysis& program, const analysis::Options& options,
-    SummaryReuse* reuse, const std::vector<Symbol>* roots);
+    SummaryReuse* reuse = nullptr);
 
 }  // namespace psa::ipa

@@ -67,9 +67,10 @@ class SnapshotError : public std::runtime_error {
 /// of the removed analysis daemon (76 -> 68); v7 grew it with the
 /// canon_fallbacks counter and the four fixpoint-stage timers (68 -> 73);
 /// v8 grew it with shared_visits (73 -> 74); v9 slimmed the batch unit
-/// payload to its exit state and population gauges (driver/payload.hpp).
+/// payload to its exit state and population gauges (driver/payload.hpp);
+/// v10 shrank the vocabulary by the two phase_serialize timers (74 -> 72).
 /// Older snapshots are rejected with a version mismatch rather than misread.
-inline constexpr std::uint32_t kSnapshotVersion = 9;
+inline constexpr std::uint32_t kSnapshotVersion = 10;
 
 // --- Byte-level primitives ---------------------------------------------------
 

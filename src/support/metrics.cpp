@@ -77,8 +77,6 @@ std::string_view counter_name(Counter c) noexcept {
     case Counter::kPhaseWidenWallNs: return "phase_widen_wall_ns";
     case Counter::kPhaseCheckerWallNs: return "phase_checker_wall_ns";
     case Counter::kPhaseCheckerCpuNs: return "phase_checker_cpu_ns";
-    case Counter::kPhaseSerializeWallNs: return "phase_serialize_wall_ns";
-    case Counter::kPhaseSerializeCpuNs: return "phase_serialize_cpu_ns";
     case Counter::kPhaseCacheLookupWallNs: return "phase_cache_lookup_wall_ns";
     case Counter::kPhaseCacheLookupCpuNs: return "phase_cache_lookup_cpu_ns";
     case Counter::kCount: break;

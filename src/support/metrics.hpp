@@ -70,7 +70,7 @@ enum class Counter : std::uint16_t {
   kSharedVisits,         // identity statements given their predecessor's RSRSG
   kTransferCacheHits,    // input graph already transferred at this node
   kTransferCacheMisses,  // fresh input graph (a real transfer)
-  kWidenings,            // RSRSG widen() trips at Options::widen_threshold
+  kWidenings,            // RSRSGs entering widened mode (widen_threshold)
   kCanonFallbacks,       // canonical keys that needed the tie search
 
   // Resource governor (docs/RESILIENCE.md ladder).
@@ -136,8 +136,6 @@ enum class Counter : std::uint16_t {
   kPhaseWidenWallNs,     // governor reapply, widening, set-limit ladder
   kPhaseCheckerWallNs,
   kPhaseCheckerCpuNs,
-  kPhaseSerializeWallNs,
-  kPhaseSerializeCpuNs,
   kPhaseCacheLookupWallNs,
   kPhaseCacheLookupCpuNs,
 

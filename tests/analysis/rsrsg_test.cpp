@@ -189,7 +189,7 @@ TEST(RsrsgTest, WidenCollapsesAliasEqualMembers) {
   set.insert(b.g, kL1, false);
   set.insert(c.g, kL1, false);
   ASSERT_EQ(set.size(), 3u);
-  EXPECT_TRUE(set.widen(kL1, 1));
+  set.widen(kL1);
   EXPECT_EQ(set.size(), 1u);
   EXPECT_TRUE(set.widened());
 }
@@ -199,7 +199,7 @@ TEST(RsrsgTest, WidenedModeFoldsFurtherInserts) {
   RsgBuilder a;
   a.pvar("x", a.node());
   set.insert(a.g, kL1);
-  set.widen(kL1, 1);
+  set.widen(kL1);
   // Insert an alias-equal graph with extra structure: folds into the member.
   RsgBuilder b(a.interner_ptr());
   const NodeRef h = b.node();
@@ -223,7 +223,7 @@ TEST(RsrsgTest, WidenKeepsAliasDistinctMembers) {
   b.pvar("y", b.node());
   set.insert(a.g, kL1);
   set.insert(b.g, kL1);
-  set.widen(kL1, 1);
+  set.widen(kL1);
   EXPECT_EQ(set.size(), 2u);  // cannot fuse different ALIAS relations
 }
 
@@ -242,6 +242,29 @@ Rsrsg two_member_set(RsgBuilder& a, RsgBuilder& b) {
   set.insert(a.g, kL1);
   set.insert(b.g, kL1);
   return set;
+}
+
+TEST(RsrsgTest, WideningAWidenedSetChangesNothing) {
+  // A widened set holds one member per ALIAS pattern, so widening it again
+  // could fold nothing: the call builds no graph and keeps every member,
+  // even the ones another set shares (a rebuild would copy those).
+  RsgBuilder a;
+  RsgBuilder b(a.interner_ptr());
+  Rsrsg set = two_member_set(a, b);
+  set.widen(kL1);
+  ASSERT_TRUE(set.widened());
+  ASSERT_EQ(set.size(), 2u);
+  const Rsrsg holder = set;
+
+  const std::uint64_t before = graphs_created();
+  set.widen(kL1);
+  EXPECT_EQ(graphs_created(), before);
+  EXPECT_TRUE(set.widened());
+  ASSERT_EQ(set.size(), holder.size());
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    EXPECT_EQ(&set.graphs()[i], &holder.graphs()[i]);
+    EXPECT_EQ(set.key_at(i), holder.key_at(i));
+  }
 }
 
 TEST(RsrsgTest, CopiesShareMembersAndMutationsReplaceThem) {
@@ -269,7 +292,7 @@ TEST(RsrsgTest, CopiesShareMembersAndMutationsReplaceThem) {
   const NodeRef c2 = c.node();
   c.pvar("x", c1).link(c1, "nxt", c2).shared(c2);
   EXPECT_TRUE(copy.insert(c.g, kL1));
-  copy.widen(kL1, 1);
+  copy.widen(kL1);
   copy.degrade_members(kL1, [](Rsg& g) { rsg::drop_must_info(g); });
   EXPECT_TRUE(copy.widened());
   EXPECT_FALSE(original.widened());
@@ -285,7 +308,7 @@ TEST(RsrsgTest, RebuildMovesSoleMembersAndCopiesSharedOnes) {
   RsgBuilder b(a.interner_ptr());
   Rsrsg sole = two_member_set(a, b);
   std::uint64_t before = graphs_created();
-  sole.widen(kL1, 1);
+  sole.widen(kL1);
   const std::uint64_t sole_cost = graphs_created() - before;
 
   RsgBuilder a2(a.interner_ptr());
@@ -293,7 +316,7 @@ TEST(RsrsgTest, RebuildMovesSoleMembersAndCopiesSharedOnes) {
   Rsrsg shared = two_member_set(a2, b2);
   const Rsrsg holder = shared;
   before = graphs_created();
-  shared.widen(kL1, 1);
+  shared.widen(kL1);
   // Each member another set still holds is copied once; the rest is the
   // same work the sole owner did.
   EXPECT_EQ(graphs_created() - before, sole_cost + holder.size());

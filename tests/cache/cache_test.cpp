@@ -145,12 +145,9 @@ TEST(CacheKeyTest, SummaryOptionsAreInTheKey) {
   off.enable_summaries = false;
   analysis::Options iters;
   iters.max_summary_iters += 3;
-  analysis::Options budget;
-  budget.summary_visit_budget += 1000;
   const CacheKey base = key_of(kSourceA);
   EXPECT_NE(base, key_of(kSourceA, off));
   EXPECT_NE(base, key_of(kSourceA, iters));
-  EXPECT_NE(base, key_of(kSourceA, budget));
 }
 
 TEST(CacheKeyTest, SiblingFunctionBodyIsInTheKey) {

@@ -16,6 +16,7 @@
 #include "analysis/analyzer.hpp"
 #include "cache/cache.hpp"
 #include "cache/key.hpp"
+#include "corpus/corpus.hpp"
 #include "driver/incremental.hpp"
 #include "driver/supervisor.hpp"
 #include "ipa/summarize.hpp"
@@ -428,6 +429,44 @@ TEST_F(IncrementalCacheTest, NoSummariesSiblingEditServesFromTheResultEntry) {
       {inline_unit("chain.c", chain_source("  a->next = a;\n"))}, uncached);
   EXPECT_EQ(driver::format_batch_report(rerun),
             driver::format_batch_report(fresh));
+}
+
+TEST_F(IncrementalCacheTest, ColdCacheBatchDoesTheUncachedBatchsWork) {
+  // The cached path resolves the summaries the target's calls reach before
+  // it runs the target; the uncached path lets analyze_program resolve
+  // them. Both summarize the same functions, so every analysis, rsg and ipa
+  // counter of each unit agrees (summary_reuse, a cache counter, aside).
+  std::vector<driver::AnalysisUnit> units = driver::corpus_units();
+  for (const corpus::BuggyProgram& p : corpus::buggy_programs()) {
+    units.push_back(inline_unit(std::string(p.name), std::string(p.source)));
+  }
+  for (driver::AnalysisUnit& unit : driver::corpus_dirty_units()) {
+    units.push_back(std::move(unit));
+  }
+  driver::BatchOptions uncached;
+  uncached.isolate = false;
+  driver::BatchOptions cold = uncached;
+  cold.cache_dir = dir_;
+  const driver::BatchResult plain = driver::run_batch(units, uncached);
+  const driver::BatchResult cached = driver::run_batch(units, cold);
+
+  ASSERT_EQ(plain.units.size(), units.size());
+  ASSERT_EQ(cached.units.size(), units.size());
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    SCOPED_TRACE(units[u].name);
+    ASSERT_TRUE(plain.units[u].payload.has_value());
+    ASSERT_TRUE(cached.units[u].payload.has_value());
+    const support::MetricsSnapshot& a = plain.units[u].payload->metrics;
+    const support::MetricsSnapshot& b = cached.units[u].payload->metrics;
+    EXPECT_EQ(b[support::Counter::kCacheMisses], 1u);
+    // Everything before the cache counters: rsg operations, the fixpoint,
+    // the governor, the salvage frontend and the summary pass.
+    for (std::size_t i = 0;
+         i < static_cast<std::size_t>(support::Counter::kCacheHits); ++i) {
+      const auto c = static_cast<support::Counter>(i);
+      EXPECT_EQ(a[c], b[c]) << support::counter_name(c);
+    }
+  }
 }
 
 }  // namespace

@@ -210,6 +210,41 @@ TEST_F(CliTest, BatchReportAndMergedSarif) {
   EXPECT_NE(log.find("leaky.c"), std::string::npos);
 }
 
+constexpr const char* kUseAfterFreeSource =
+    "struct node { struct node *nxt; int v; };\n"
+    "void main() {\n"
+    "  struct node *p;\n"
+    "  struct node *q;\n"
+    "  p = malloc(sizeof(struct node));\n"
+    "  q = malloc(sizeof(struct node));\n"
+    "  p->nxt = q;\n"
+    "  q->nxt = NULL;\n"
+    "  while (p != NULL) {\n"
+    "    free(p);\n"
+    "    p = p->nxt;\n"
+    "  }\n"
+    "}\n";
+
+TEST_F(CliTest, DetailedModeSarifKeepsEveryFile) {
+  // Detailed mode writes one log for all its files, one artifact each; a
+  // later file must not overwrite an earlier file's findings.
+  const std::string uaf = write_file("uaf.c", kUseAfterFreeSource);
+  const std::string leaky = write_file("leaky.c", kLeakySource);
+  const std::string sarif = path_in("two.sarif");
+  const RunResult result =
+      run_cli(uaf + " " + leaky + " --check --sarif=" + sarif, "");
+  EXPECT_EQ(result.exit_code, 1);
+  const std::string log = slurp(sarif);
+  EXPECT_NE(log.find("\"ruleId\": \"PSA-USE-AFTER-FREE\""), std::string::npos)
+      << log;
+  EXPECT_NE(log.find("\"ruleId\": \"PSA-LEAK-AT-EXIT\""), std::string::npos)
+      << log;
+  EXPECT_NE(log.find("\"uri\": \"" + uaf + "\""), std::string::npos);
+  EXPECT_NE(log.find("\"uri\": \"" + leaky + "\""), std::string::npos);
+  // Still one run.
+  EXPECT_EQ(log.find("\"tool\""), log.rfind("\"tool\""));
+}
+
 TEST_F(CliTest, HelpPrintsTheReferenceAndExitsOk) {
   const RunResult result = run_cli("--help", "");
   EXPECT_EQ(result.exit_code, 0);
@@ -441,6 +476,9 @@ TEST_F(CliTest, ProfileFlagPrintsTheTable) {
       << result.stdout_text;
   EXPECT_NE(result.stdout_text.find("rsg operations:"), std::string::npos);
   EXPECT_NE(result.stdout_text.find("gauges:"), std::string::npos);
+  // A unit whose target calls nothing summarizes nothing: no ipa row.
+  EXPECT_EQ(result.stdout_text.find("\n  ipa "), std::string::npos)
+      << result.stdout_text;
 }
 
 #if PSA_CLI_TESTS_POSIX

@@ -98,6 +98,19 @@ std::vector<std::string> digest_lines(const DigestCase& c) {
   EXPECT_GT(shared, 0u) << c.name();
   EXPECT_GT(region.delta()[support::Counter::kSharedVisits], 0u) << c.name();
 
+  // A set enters widened mode once and a widened set is final: without
+  // degradation, every widening is a statement that owns its state and
+  // ends widened.
+  EXPECT_FALSE(result.degraded()) << c.name();
+  std::uint64_t widened = 0;
+  for (cfg::NodeId id = 0; id < program.cfg.size(); ++id) {
+    if (!testing::is_shared_statement(program.cfg, id, options.policy()) &&
+        result.per_node[id].widened()) {
+      ++widened;
+    }
+  }
+  EXPECT_EQ(region.delta()[support::Counter::kWidenings], widened) << c.name();
+
   testing::StateDigester digester(program.interner(), program.unit.types);
   const std::vector<std::uint64_t> digests = digester.digest(result);
   std::vector<std::string> lines;

@@ -55,15 +55,15 @@ TEST(SerializeEnvelope, RejectsWrongVersion) {
 }
 
 TEST(SerializeEnvelope, VersionIsPinnedAndPredecessorsAreRejected) {
-  // v9: the unit payload carries the exit state and population gauges, not
-  // every statement's state (src/rsg/serialize.hpp). A version bump without
-  // updating this pin is a wire-format change nobody signed off on.
-  EXPECT_EQ(kSnapshotVersion, 9u);
+  // v10: the metrics vocabulary lost the two phase_serialize timers
+  // (src/rsg/serialize.hpp). A version bump without updating this pin is a
+  // wire-format change nobody signed off on.
+  EXPECT_EQ(kSnapshotVersion, 10u);
   // Every prior version (v1 pre-metrics, v2 pre-IPA, v3 pre-func-cache,
   // v4 pre-io-counters, v5 with the daemon counters, v6 before the stage
-  // timers, v7 before shared_visits, v8 with per-statement states) must be
-  // rejected — stale cache entries and checkpoints re-analyze rather than
-  // misparse.
+  // timers, v7 before shared_visits, v8 with per-statement states, v9 with
+  // the serialize timers) must be rejected — stale cache entries and
+  // checkpoints re-analyze rather than misparse.
   for (std::uint8_t old = 0; old < kSnapshotVersion; ++old) {
     std::string bytes = wrap_snapshot("payload");
     bytes[8] = static_cast<char>(old);

@@ -33,7 +33,7 @@ TEST(Metrics, TimerSplitMatchesEnumLayout) {
   EXPECT_FALSE(is_timer(Counter::kCompressCalls));
   EXPECT_FALSE(is_timer(Counter::kGovernorDrains));
   EXPECT_TRUE(is_timer(Counter::kPhaseParseWallNs));
-  EXPECT_TRUE(is_timer(Counter::kPhaseSerializeCpuNs));
+  EXPECT_TRUE(is_timer(Counter::kPhaseCacheLookupCpuNs));
   // Every timer name carries the _ns suffix; no operation counter does.
   for (std::size_t i = 0; i < kCounterCount; ++i) {
     const auto c = static_cast<Counter>(i);
