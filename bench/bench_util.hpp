@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -72,7 +73,13 @@ double time_op(int iterations, Fn&& fn) {
 /// One row of the canonical bench JSON.
 struct BenchRun {
   std::string config;
+  /// Wall seconds of the run; of a repeated row, the median.
   double seconds = 0.0;
+  /// A repeated row's run count and its fastest and slowest run (written
+  /// only when repetitions > 1).
+  std::size_t repetitions = 1;
+  double seconds_min = 0.0;
+  double seconds_max = 0.0;
   bool converged = true;
   std::uint64_t visits = 0;
   std::uint64_t peak_bytes = 0;
@@ -122,6 +129,20 @@ class BenchReport {
     runs_.push_back(std::move(run));
   }
 
+  /// Row from `seconds.size()` repeated engine runs that did the same work
+  /// as `result`: the row's seconds is their median, with their range.
+  void add_repeated(std::string config, const analysis::ProgramAnalysis& program,
+                    const analysis::AnalysisResult& result,
+                    std::vector<double> seconds) {
+    add(std::move(config), program, result);
+    std::sort(seconds.begin(), seconds.end());
+    BenchRun& run = runs_.back();
+    run.seconds = seconds[seconds.size() / 2];
+    run.repetitions = seconds.size();
+    run.seconds_min = seconds.front();
+    run.seconds_max = seconds.back();
+  }
+
   /// Row from a hand-timed micro stage (no engine result).
   void add_sample(std::string config, double seconds) {
     BenchRun run;
@@ -133,6 +154,9 @@ class BenchReport {
   /// Pre-built row (benches that time whole batches and attach their own
   /// counter deltas, e.g. cache_warm's hit/miss proof).
   void add_run(BenchRun run) { runs_.push_back(std::move(run)); }
+
+  /// The row added last.
+  [[nodiscard]] const BenchRun& last() const { return runs_.back(); }
 
  private:
   void write() const {
@@ -160,8 +184,15 @@ class BenchReport {
                     static_cast<unsigned long long>(r.peak_bytes),
                     static_cast<unsigned long long>(r.exit_graphs));
       out << (i == 0 ? "\n" : ",\n") << "    {\"config\": \""
-          << analysis::json_escape(r.config) << "\", " << buf
-          << ", \"ops\": {";
+          << analysis::json_escape(r.config) << "\", " << buf;
+      if (r.repetitions > 1) {
+        std::snprintf(buf, sizeof buf,
+                      ", \"repetitions\": %zu, \"seconds_min\": %.9g, "
+                      "\"seconds_max\": %.9g",
+                      r.repetitions, r.seconds_min, r.seconds_max);
+        out << buf;
+      }
+      out << ", \"ops\": {";
       for (std::size_t c = 0; c < support::kCounterCount; ++c) {
         if (c != 0) out << ", ";
         out << '"'

@@ -5,6 +5,10 @@
 // The binary first prints a Table-1-shaped summary (time, peak RSG bytes,
 // status per code and level), then runs the same configurations as
 // google-benchmark benchmarks so the numbers land in machine-readable form.
+// In full mode each cell of the summary runs kRepetitions times and its time
+// is the median with the fastest and slowest run, in the table and in the
+// BENCH_table1_analysis_cost.json row; a single run is no evidence on a host
+// whose speed drifts. --quick runs each cell once.
 //
 // Absolute values are not comparable to the paper's Pentium III 500 MHz /
 // 128 MB: what reproduces is the *shape* — costs grow with the level on the
@@ -17,6 +21,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -24,6 +29,9 @@
 namespace {
 
 using namespace psa;
+
+/// Runs per cell of the full-mode summary.
+constexpr int kRepetitions = 5;
 
 struct Cell {
   const char* program;
@@ -54,7 +62,9 @@ void BM_Table1(benchmark::State& state, const char* name,
 void print_table(bench::BenchReport& report) {
   std::printf("\nTable 1 reproduction — compiler time and space per code and "
               "level\n");
-  std::printf("%-14s %-4s %12s %14s %10s  %s\n", "code", "lvl", "time",
+  const bool repeat = !report.quick();
+  std::printf("%-14s %-4s %*s %14s %10s  %s\n", "code", "lvl",
+              repeat ? 24 : 12, repeat ? "time: median (min-max)" : "time",
               "space(bytes)", "visits", "status");
   // Quick mode (bench_smoke) keeps only the sparse codes at L1: the full
   // grid pays the Barnes-Hut rows, which take minutes by design.
@@ -73,13 +83,29 @@ void print_table(bench::BenchReport& report) {
   for (const char* name : codes) {
     const auto program = analysis::prepare(corpus::find_program(name)->source);
     for (const auto level : levels) {
-      const auto result =
-          analysis::analyze_program(program, options_for(name, level));
-      report.add(std::string(name) + "/" + std::string(rsg::to_string(level)),
-                 program, result);
-      std::printf("%-14s %-4s %12s %14llu %10llu  %s\n", name,
+      const std::string config =
+          std::string(name) + "/" + std::string(rsg::to_string(level));
+      analysis::AnalysisResult result;
+      std::string time;
+      if (repeat) {
+        std::vector<double> seconds;
+        for (int r = 0; r < kRepetitions; ++r) {
+          result = analysis::analyze_program(program, options_for(name, level));
+          seconds.push_back(result.seconds);
+        }
+        report.add_repeated(config, program, result, seconds);
+        const bench::BenchRun& row = report.last();
+        time = bench::format_time(row.seconds) + " (" +
+               bench::format_time(row.seconds_min) + "-" +
+               bench::format_time(row.seconds_max) + ")";
+      } else {
+        result = analysis::analyze_program(program, options_for(name, level));
+        report.add(config, program, result);
+        time = bench::format_time(result.seconds);
+      }
+      std::printf("%-14s %-4s %*s %14llu %10llu  %s\n", name,
                   std::string(rsg::to_string(level)).c_str(),
-                  bench::format_time(result.seconds).c_str(),
+                  repeat ? 24 : 12, time.c_str(),
                   static_cast<unsigned long long>(result.peak_bytes()),
                   static_cast<unsigned long long>(result.node_visits),
                   std::string(analysis::to_string(result.status)).c_str());

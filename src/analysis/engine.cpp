@@ -192,16 +192,19 @@ class Engine {
         bool escalatable = true;
         while (escalatable && live_bytes() > target) {
           escalatable = false;
+          // Each statement's footprint walks every node of every member, so
+          // it is taken once per round, not per comparison.
           std::vector<cfg::NodeId> by_weight;
+          std::vector<std::size_t> weight(cfg_.size(), 0);
           for (cfg::NodeId n = 0; n < cfg_.size(); ++n) {
             if (!result.per_node[n].empty() && !shares_pred_[n]) {
               by_weight.push_back(n);
+              weight[n] = result.per_node[n].footprint_bytes();
             }
           }
           std::sort(by_weight.begin(), by_weight.end(),
                     [&](cfg::NodeId a, cfg::NodeId b) {
-                      return result.per_node[a].footprint_bytes() >
-                             result.per_node[b].footprint_bytes();
+                      return weight[a] > weight[b];
                     });
           for (const cfg::NodeId n : by_weight) {
             if (governor.escalate(n, result.per_node[n],

@@ -34,18 +34,29 @@ DegradationRung DegradationReport::worst_rung() const {
 
 std::string DegradationReport::summary() const {
   if (empty()) return "no degradation";
+  // Clauses joined by "; ": the events (only when there are any), then the
+  // floor, the drain and an unreachable budget.
   std::ostringstream os;
-  os << events.size() << " degradation(s) over " << degraded_node_count()
-     << " statement(s):";
-  for (std::size_t r = 1; r < rung_applications.size(); ++r) {
-    if (rung_applications[r] == 0) continue;
-    os << ' ' << to_string(static_cast<DegradationRung>(r)) << " x"
-       << rung_applications[r] << " (" << rung_seconds[r] << " s)";
+  const char* sep = "";
+  if (!events.empty()) {
+    os << events.size() << " degradation(s) over " << degraded_node_count()
+       << " statement(s):";
+    for (std::size_t r = 1; r < rung_applications.size(); ++r) {
+      if (rung_applications[r] == 0) continue;
+      os << ' ' << to_string(static_cast<DegradationRung>(r)) << " x"
+         << rung_applications[r] << " (" << rung_seconds[r] << " s)";
+    }
+    sep = "; ";
   }
-  if (floor != DegradationRung::kNone)
-    os << "; floor " << to_string(floor);
-  if (deadline_drain) os << "; deadline drain";
-  if (memory_budget_unreachable) os << "; memory budget unreachable";
+  if (floor != DegradationRung::kNone) {
+    os << sep << "floor " << to_string(floor);
+    sep = "; ";
+  }
+  if (deadline_drain) {
+    os << sep << "deadline drain";
+    sep = "; ";
+  }
+  if (memory_budget_unreachable) os << sep << "memory budget unreachable";
   return os.str();
 }
 

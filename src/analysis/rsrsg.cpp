@@ -35,7 +35,8 @@ bool Rsrsg::fold_widened(Rsg g, const LevelPolicy& policy) {
   if (contains(key)) return false;
   for (auto& member : members_) {
     if (!rsg::alias_equal(member->graph(), g)) continue;
-    Rsg folded = rsg::force_join(member->graph(), g, policy);
+    Rsg folded =
+        rsg::force_join(member->graph(), member->contexts(), g, policy);
     rsg::coarsen(folded, policy);
     rsg::CanonicalKey folded_key = rsg::canonical_key(folded);
     if (folded_key == member->key()) return false;  // absorbed, nothing new
@@ -70,7 +71,8 @@ bool Rsrsg::insert(Rsg g, const LevelPolicy& policy, bool enable_join) {
         PSA_COUNT(support::Counter::kJoinRejectedCompat);
       } else {
         PSA_COUNT(support::Counter::kJoinAccepts);
-        Rsg joined = rsg::join(member.graph(), g, policy);
+        Rsg joined =
+            rsg::join(member.graph(), member.contexts(), g, *g_ctx, policy);
         members_.erase(members_.begin() + static_cast<std::ptrdiff_t>(i));
         insert(std::move(joined), policy, enable_join);
         return true;  // the set changed even if the join was absorbing

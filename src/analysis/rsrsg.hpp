@@ -120,7 +120,7 @@ class Rsrsg {
   [[nodiscard]] std::string dump(const support::Interner& interner) const;
 
  private:
-  using Contexts = std::vector<rsg::NodeCompatContext>;
+  using Contexts = rsg::CompatContexts;
 
   /// One member: a graph with its canonical key and its compatibility
   /// contexts (the hot path of insert), both computed on first use. Sets

@@ -383,8 +383,9 @@ std::vector<Rsg> rebind_unknown(const Rsg& in, Symbol x, lang::StructId type,
       // the analyzed code has never seen; every selector it is reachable
       // through may share it.
       const auto refs = g.node_refs();
-      rsg::saturate_links(g, refs, {n}, *ctx.types);
-      rsg::saturate_links(g, {n}, refs, *ctx.types);
+      const NodeRef just_n[] = {n};
+      rsg::saturate_links(g, refs, just_n, *ctx.types);
+      rsg::saturate_links(g, just_n, refs, *ctx.types);
       for (const rsg::InLink& in : g.in_links(n)) {
         g.props(n).shsel.insert(in.sel);
       }
@@ -428,10 +429,11 @@ void saturate_with(Rsg& g, NodeRef n, const std::vector<NodeRef>& peers,
   }
   std::vector<NodeRef> all = peers;
   all.push_back(n);  // the callee may have linked the cell to itself
-  rsg::saturate_links(g, {n}, all, *ctx.types);
+  const NodeRef just_n[] = {n};
+  rsg::saturate_links(g, just_n, all, *ctx.types);
   if (!in_links_too) return;
   g.props(n).shared = true;
-  rsg::saturate_links(g, peers, {n}, *ctx.types);
+  rsg::saturate_links(g, peers, just_n, *ctx.types);
   // Every peer selector into the cell may share it (its self-link does not).
   for (const rsg::InLink& in : g.in_links(n)) {
     if (in.source != n) g.props(n).shsel.insert(in.sel);
@@ -644,7 +646,7 @@ std::vector<NodeRef> callee_region(const Rsg& g,
     const NodeRef t = g.pvar_target(a);
     if (t != kNoNode) roots.push_back(t);
   }
-  const std::vector<bool> reached = g.reachable_from(roots);
+  const rsg::NodeFlags reached = g.reachable_from(roots);
   std::vector<NodeRef> region;
   for (NodeRef n = 0; n < reached.size(); ++n)
     if (reached[n]) region.push_back(n);

@@ -197,7 +197,7 @@ std::vector<TraceStep> witness_trace(const ProgramAnalysis& program,
 /// caller mutates a copy of the graph (unbinding a pvar / removing a link)
 /// and asks whether `victim` — identified by ref in that copy — died.
 bool unreachable_in(const Rsg& g, NodeRef victim) {
-  const std::vector<bool> reach = g.reachable_from_pvars();
+  const auto reach = g.reachable_from_pvars();
   return !reach[victim];
 }
 

@@ -205,7 +205,8 @@ bool has_unexplained_cycle(const Rsg& g, NodeRef root) {
 
 StructureKind classify_one(const Rsg& g, NodeRef root) {
   // Reachable subgraph from root.
-  const std::vector<bool> reach = g.reachable_from({root});
+  const NodeRef roots[] = {root};
+  const auto reach = g.reachable_from(roots);
 
   bool any_sharing = false;
   bool list_shaped = true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "analysis/semantics.hpp"
@@ -25,7 +26,7 @@ using rsg::Rsg;
 
 /// Does `nodes` hold a cell that derives from the function's own caller (a
 /// havoc-marked node of the summary run)?
-bool any_marked(const Rsg& g, const std::vector<NodeRef>& nodes) {
+bool any_marked(const Rsg& g, std::span<const NodeRef> nodes) {
   return std::any_of(nodes.begin(), nodes.end(),
                      [&g](NodeRef n) { return g.props(n).havoc; });
 }

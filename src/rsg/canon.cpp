@@ -1,15 +1,86 @@
 #include "rsg/canon.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
-#include <string_view>
+#include <new>
+#include <string>
+#include <utility>
 
 #include "support/hash.hpp"
+#include "support/memory_stats.hpp"
 #include "support/metrics.hpp"
+#include "support/small_vector.hpp"
 
 namespace psa::rsg {
 
+// --- Shared key blocks ---------------------------------------------------------
+
+/// The header of a key's one allocation; the encoding follows it.
+struct CanonicalKey::Block {
+  std::atomic<std::uint32_t> refs{1};
+  std::uint32_t size = 0;
+  support::TrackedFootprint footprint;
+
+  [[nodiscard]] const char* data() const noexcept {
+    return reinterpret_cast<const char*>(this + 1);
+  }
+  [[nodiscard]] char* data() noexcept {
+    return reinterpret_cast<char*>(this + 1);
+  }
+};
+
+CanonicalKey::CanonicalKey(std::string_view bytes) {
+  const std::size_t total = sizeof(Block) + bytes.size();
+  block_ = new (::operator new(total)) Block;
+  block_->size = static_cast<std::uint32_t>(bytes.size());
+  std::memcpy(block_->data(), bytes.data(), bytes.size());
+  block_->footprint.resize(total);
+}
+
+CanonicalKey::CanonicalKey(const CanonicalKey& other) noexcept
+    : block_(other.block_), hash_(other.hash_) {
+  if (block_ != nullptr) ++block_->refs;
+}
+
+CanonicalKey::CanonicalKey(CanonicalKey&& other) noexcept
+    : block_(std::exchange(other.block_, nullptr)), hash_(other.hash_) {}
+
+CanonicalKey& CanonicalKey::operator=(const CanonicalKey& other) noexcept {
+  CanonicalKey copy(other);
+  std::swap(block_, copy.block_);
+  hash_ = copy.hash_;
+  return *this;
+}
+
+CanonicalKey& CanonicalKey::operator=(CanonicalKey&& other) noexcept {
+  if (this != &other) {
+    release(block_);
+    block_ = std::exchange(other.block_, nullptr);
+    hash_ = other.hash_;
+  }
+  return *this;
+}
+
+CanonicalKey::~CanonicalKey() { release(block_); }
+
+std::string_view CanonicalKey::bytes() const noexcept {
+  if (block_ == nullptr) return {};
+  return {block_->data(), block_->size};
+}
+
+void CanonicalKey::release(Block* block) noexcept {
+  if (block == nullptr || --block->refs != 0) return;
+  block->~Block();
+  ::operator delete(block);
+}
+
+// --- Canonical encoding ----------------------------------------------------------
+
 namespace {
+
+/// A colour per node slot.
+using Colors = support::SmallVector<std::uint64_t, kScratchNodes>;
 
 using support::hash_accumulate_unordered;
 using support::hash_combine;
@@ -24,9 +95,8 @@ std::uint64_t initial_color(const Rsg& g, NodeRef n) {
   return h;
 }
 
-std::size_t count_classes(const std::vector<std::uint64_t>& color,
-                          const std::vector<NodeRef>& refs) {
-  std::vector<std::uint64_t> sorted;
+std::size_t count_classes(const Colors& color, const NodeRefs& refs) {
+  Colors sorted;
   sorted.reserve(refs.size());
   for (const NodeRef n : refs) sorted.push_back(color[n]);
   std::sort(sorted.begin(), sorted.end());
@@ -36,14 +106,13 @@ std::size_t count_classes(const std::vector<std::uint64_t>& color,
 
 /// Refine `color` (indexed by node slot; `refs` are g's alive nodes) in
 /// place until the partition stabilizes.
-void refine(const Rsg& g, const std::vector<NodeRef>& refs,
-            std::vector<std::uint64_t>& color) {
+void refine(const Rsg& g, const NodeRefs& refs, Colors& color) {
   // n rounds suffice for WL refinement on n nodes, but the partition almost
   // always stabilizes after 2-4; stop when the *grouping* stops refining
   // (the hash values themselves change every round by construction), or as
   // soon as it is discrete and nothing is left to refine.
   std::size_t classes = count_classes(color, refs);
-  std::vector<std::uint64_t> next(color.size(), 0);
+  Colors next(color.size(), 0);
   for (std::size_t round = 0; round < refs.size() && classes < refs.size();
        ++round) {
     for (const NodeRef n : refs) {
@@ -90,8 +159,8 @@ class KeyWriter {
 
 /// Encode a graph whose nodes are ranked canonically (`rank` by slot,
 /// `order` by rank).
-void encode(const Rsg& g, const std::vector<NodeRef>& order,
-            const std::vector<NodeRef>& rank, std::string& out) {
+void encode(const Rsg& g, const NodeRefs& order, const NodeRefs& rank,
+            std::string& out) {
   KeyWriter w(out);
   // Graph-level salvage taint is part of the identity: a tainted
   // configuration never dedups against its untainted twin (the taint would
@@ -103,7 +172,9 @@ void encode(const Rsg& g, const std::vector<NodeRef>& order,
     w.u(pvar.id());
     w.u(rank[n]);
   }
-  std::vector<std::pair<std::uint32_t, NodeRef>> links;
+  // A node's links as (selector id << 32 | target rank): sorting them sorts
+  // by selector, then target.
+  support::SmallVector<std::uint64_t, 16> links;
   for (const NodeRef n : order) {
     const NodeProps& p = g.props(n);
     w.u(lang::raw(p.type));
@@ -127,13 +198,13 @@ void encode(const Rsg& g, const std::vector<NodeRef>& order,
 
     links.clear();
     for (const Link& l : g.out_links(n)) {
-      links.emplace_back(l.sel.id(), rank[l.target]);
+      links.push_back(std::uint64_t{l.sel.id()} << 32 | rank[l.target]);
     }
     std::sort(links.begin(), links.end());
     w.u(links.size());
-    for (const auto& [sel, target] : links) {
-      w.u(sel);
-      w.u(target);
+    for (const std::uint64_t link : links) {
+      w.u(link >> 32);
+      w.u(link & 0xffffffffU);
     }
   }
 }
@@ -142,11 +213,10 @@ void encode(const Rsg& g, const std::vector<NodeRef>& order,
 /// no tie left, keep the encoding in `best` if it is the smallest so far;
 /// otherwise recurse once per member of the lowest tied cell, that member
 /// individualized. `searched` records that some tie was met.
-void search(const Rsg& g, const std::vector<NodeRef>& refs,
-            std::vector<std::uint64_t>& color, std::string& best,
-            bool& searched) {
+void search(const Rsg& g, const NodeRefs& refs, Colors& color,
+            std::string& best, bool& searched) {
   refine(g, refs, color);
-  std::vector<NodeRef> order = refs;
+  NodeRefs order = refs;
   std::sort(order.begin(), order.end(), [&](NodeRef a, NodeRef b) {
     return color[a] < color[b];
   });
@@ -155,7 +225,7 @@ void search(const Rsg& g, const std::vector<NodeRef>& refs,
         return color[a] == color[b];
       });
   if (tie == order.end()) {
-    std::vector<NodeRef> rank(g.node_capacity(), kNoNode);
+    NodeRefs rank(g.node_capacity(), kNoNode);
     for (std::size_t i = 0; i < order.size(); ++i) {
       rank[order[i]] = static_cast<NodeRef>(i);
     }
@@ -169,7 +239,7 @@ void search(const Rsg& g, const std::vector<NodeRef>& refs,
   const std::uint64_t cell = color[*tie];
   const std::uint64_t individual = hash_combine(cell, 0x1d1d1d1d);
   for (auto it = tie; it != order.end() && color[*it] == cell; ++it) {
-    std::vector<std::uint64_t> branch = color;
+    Colors branch = color;
     branch[*it] = individual;
     search(g, refs, branch, best, searched);
   }
@@ -192,16 +262,17 @@ std::uint64_t hash_bytes(std::string_view bytes) {
 }  // namespace
 
 CanonicalKey canonical_key(const Rsg& g) {
-  const std::vector<NodeRef> refs = g.node_refs();
-  std::vector<std::uint64_t> color(g.node_capacity(), 0);
+  const NodeRefs refs = g.node_refs();
+  Colors color(g.node_capacity(), 0);
   for (const NodeRef n : refs) color[n] = initial_color(g, n);
 
-  CanonicalKey key;
+  thread_local std::string best;
+  best.clear();
   bool searched = false;
-  search(g, refs, color, key.bytes_, searched);
+  search(g, refs, color, best, searched);
   if (searched) PSA_COUNT(support::Counter::kCanonFallbacks);
-  key.hash_ = hash_bytes(key.bytes_);
-  key.footprint_.resize(sizeof(CanonicalKey) + key.bytes_.size());
+  CanonicalKey key(best);
+  key.hash_ = hash_bytes(best);
   return key;
 }
 

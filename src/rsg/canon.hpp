@@ -32,26 +32,42 @@
 //
 // Keys hold interner ids, so they are meaningful only within one process and
 // one interner; they are never serialized.
+//
+// A key's bytes live in one shared, immutable, reference-counted block, so
+// copying a key (a transfer-cache entry, a member shared between sets)
+// copies a 16-byte handle, not the encoding. Two keys compare by hash first,
+// then accept the same block or equal bytes: keys built separately for
+// isomorphic graphs are equal although their blocks differ. Each block
+// registers its size with support::MemoryStats once, when it is made, so
+// peak_bytes counts every distinct encoding once however many handles hold
+// it.
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 #include "rsg/rsg.hpp"
-#include "support/memory_stats.hpp"
 
 namespace psa::rsg {
 
-/// Canonical identity of one RSG; see the file comment. Its bytes register
-/// with support::MemoryStats, so every stored key counts in peak_bytes.
+/// Canonical identity of one RSG; see the file comment.
 class CanonicalKey {
  public:
-  CanonicalKey() = default;
+  CanonicalKey() noexcept = default;
+  CanonicalKey(const CanonicalKey& other) noexcept;
+  CanonicalKey(CanonicalKey&& other) noexcept;
+  CanonicalKey& operator=(const CanonicalKey& other) noexcept;
+  CanonicalKey& operator=(CanonicalKey&& other) noexcept;
+  ~CanonicalKey();
+
+  /// The canonical encoding (empty for a default-constructed key).
+  [[nodiscard]] std::string_view bytes() const noexcept;
 
   /// Equal iff the graphs are isomorphic.
   friend bool operator==(const CanonicalKey& a,
                          const CanonicalKey& b) noexcept {
-    return a.hash_ == b.hash_ && a.bytes_ == b.bytes_;
+    return a.hash_ == b.hash_ &&
+           (a.block_ == b.block_ || a.bytes() == b.bytes());
   }
 
   struct Hash {
@@ -61,11 +77,16 @@ class CanonicalKey {
   };
 
  private:
+  struct Block;
   friend CanonicalKey canonical_key(const Rsg& g);
 
-  std::string bytes_;
-  std::uint64_t hash_ = 0;  // of bytes_, for bucketing
-  support::TrackedFootprint footprint_;
+  /// A key holding a fresh block with a copy of `bytes`.
+  explicit CanonicalKey(std::string_view bytes);
+  /// Drop one reference to `block`; the last one frees it.
+  static void release(Block* block) noexcept;
+
+  Block* block_ = nullptr;
+  std::uint64_t hash_ = 0;  // of the bytes, for bucketing
 };
 
 /// The canonical key of `g`.

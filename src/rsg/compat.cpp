@@ -2,8 +2,8 @@
 
 namespace psa::rsg {
 
-std::vector<NodeCompatContext> compute_compat_contexts(const Rsg& g) {
-  std::vector<NodeCompatContext> out(g.node_capacity());
+CompatContexts compute_compat_contexts(const Rsg& g) {
+  CompatContexts out(g.node_capacity());
   const auto comps = g.components();
   for (NodeRef n = 0; n < g.node_capacity(); ++n) out[n].component = comps[n];
   // SPATH in one sweep over PL: a binding pvar -> m is the zero-length path

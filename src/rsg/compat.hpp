@@ -24,9 +24,11 @@ struct NodeCompatContext {
   NodeRef component = kNoNode;
 };
 
+/// One context per node slot of a graph (dead slots hold an empty one).
+using CompatContexts = std::vector<NodeCompatContext>;
+
 /// Compute the compatibility context of every alive node of `g`.
-[[nodiscard]] std::vector<NodeCompatContext> compute_compat_contexts(
-    const Rsg& g);
+[[nodiscard]] CompatContexts compute_compat_contexts(const Rsg& g);
 
 [[nodiscard]] bool c_spath(const NodeCompatContext& a,
                            const NodeCompatContext& b,

@@ -13,17 +13,13 @@ namespace {
 /// that moment — the representative's include every link already moved
 /// onto it — then moves the member's links onto the representative and
 /// removes the member. Returns the number of nodes folded away.
-std::uint64_t merge_classes(Rsg& g, const std::vector<NodeRef>& refs,
+std::uint64_t merge_classes(Rsg& g, const NodeRefs& refs,
                             support::UnionFind& uf) {
-  std::vector<std::vector<NodeRef>> classes(g.node_capacity());
-  for (const NodeRef n : refs) classes[uf.find(n)].push_back(n);
-
   std::uint64_t folded = 0;
-  for (const auto& members : classes) {
-    if (members.size() < 2) continue;
-    const NodeRef rep = members[0];
+  uf.for_each_class(refs, [&](std::span<const support::ClassMember> members) {
+    const NodeRef rep = members[0].index;
     for (std::size_t k = 1; k < members.size(); ++k) {
-      const NodeRef other = members[k];
+      const NodeRef other = members[k].index;
       g.props(rep) = merge_node_props(g.props(rep), g.out_selectors(rep),
                                       g.props(other), g.out_selectors(other),
                                       /*same_configuration=*/true);
@@ -39,7 +35,7 @@ std::uint64_t merge_classes(Rsg& g, const std::vector<NodeRef>& refs,
       g.remove_node(other);
       ++folded;
     }
-  }
+  });
   return folded;
 }
 
@@ -130,7 +126,7 @@ bool drop_must_info(Rsg& g) {
   return changed;
 }
 
-void summarize_region(Rsg& g, const std::vector<NodeRef>& region,
+void summarize_region(Rsg& g, std::span<const NodeRef> region,
                       const std::vector<Symbol>& selectors,
                       const lang::TypeTable* types) {
   for (const NodeRef n : region) {
@@ -165,8 +161,8 @@ void summarize_region(Rsg& g, const std::vector<NodeRef>& region,
   }
 }
 
-void saturate_links(Rsg& g, const std::vector<NodeRef>& sources,
-                    const std::vector<NodeRef>& targets,
+void saturate_links(Rsg& g, std::span<const NodeRef> sources,
+                    std::span<const NodeRef> targets,
                     const lang::TypeTable& types) {
   for (const NodeRef a : sources) {
     for (const lang::Field& f : types.struct_decl(g.props(a).type).fields) {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "rsg/compat.hpp"
@@ -76,14 +77,20 @@ void coarsen(Rsg& g, const LevelPolicy& policy);
 
 /// As above with caller-supplied compatibility contexts (hot path: RSRSG
 /// insertion caches per-member contexts to avoid recomputing them per pair).
-[[nodiscard]] bool compatible_with_contexts(
-    const Rsg& a, const std::vector<NodeCompatContext>& ctx_a, const Rsg& b,
-    const std::vector<NodeCompatContext>& ctx_b, const LevelPolicy& policy);
+[[nodiscard]] bool compatible_with_contexts(const Rsg& a,
+                                            const CompatContexts& ctx_a,
+                                            const Rsg& b,
+                                            const CompatContexts& ctx_b,
+                                            const LevelPolicy& policy);
 
 /// JOIN (§4.3): union of two compatible graphs; cross-graph C_NODES-
 /// compatible nodes are summarized, everything else is copied side by side.
 /// The result is compressed.
 [[nodiscard]] Rsg join(const Rsg& a, const Rsg& b, const LevelPolicy& policy);
+/// As above with each graph's compatibility contexts (compute_compat_contexts
+/// of that graph), which an RSRSG insert already holds.
+[[nodiscard]] Rsg join(const Rsg& a, const CompatContexts& ctx_a, const Rsg& b,
+                       const CompatContexts& ctx_b, const LevelPolicy& policy);
 
 /// Widening (engineering addition, see DESIGN.md): join two ALIAS-equal
 /// graphs even when COMP_NODES fails, by additionally summarizing the node
@@ -93,6 +100,9 @@ void coarsen(Rsg& g, const LevelPolicy& policy);
 /// bound the RSG count the paper bounds with patience (17-minute L1 runs).
 [[nodiscard]] Rsg force_join(const Rsg& a, const Rsg& b,
                              const LevelPolicy& policy);
+/// As above with `a`'s compatibility contexts; `b`'s are computed.
+[[nodiscard]] Rsg force_join(const Rsg& a, const CompatContexts& ctx_a,
+                             const Rsg& b, const LevelPolicy& policy);
 
 /// Degradation support (the resource governor's kForceJoin rung): demote
 /// every node's must-information to may-information — SELIN/SELOUT move to
@@ -128,7 +138,7 @@ void summarize_top(Rsg& g, const LevelPolicy& policy,
 /// added. Nodes outside the region — caller state the callee can never
 /// reach — are untouched, and no coarsen runs (it is a global operation;
 /// the caller's finish/compress pass compacts instead).
-void summarize_region(Rsg& g, const std::vector<NodeRef>& region,
+void summarize_region(Rsg& g, std::span<const NodeRef> region,
                       const std::vector<Symbol>& selectors,
                       const lang::TypeTable* types = nullptr);
 
@@ -137,8 +147,8 @@ void summarize_region(Rsg& g, const std::vector<NodeRef>& region,
 /// in `sources`, f a selector field of a's struct and b in `targets` of f's
 /// pointee struct, with PosSELOUT(a, f) and PosSELIN(b, f) to match. Sound
 /// for the same reason as the widenings: may-information only grows.
-void saturate_links(Rsg& g, const std::vector<NodeRef>& sources,
-                    const std::vector<NodeRef>& targets,
+void saturate_links(Rsg& g, std::span<const NodeRef> sources,
+                    std::span<const NodeRef> targets,
                     const lang::TypeTable& types);
 
 }  // namespace psa::rsg

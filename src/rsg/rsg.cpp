@@ -44,13 +44,12 @@ void Rsg::remove_node(NodeRef n) {
   // Detach from neighbours through the mirrored adjacency.
   for (const Link& l : nodes_[n].out) {
     if (l.target == n) continue;
-    std::erase_if(nodes_[l.target].in,
-                  [n](const InLink& in) { return in.source == n; });
+    nodes_[l.target].in.erase_if(
+        [n](const InLink& in) { return in.source == n; });
   }
   for (const InLink& in : nodes_[n].in) {
     if (in.source == n) continue;
-    std::erase_if(nodes_[in.source].out,
-                  [n](const Link& l) { return l.target == n; });
+    nodes_[in.source].out.erase_if([n](const Link& l) { return l.target == n; });
   }
   nodes_[n].alive = false;
   nodes_[n].out.clear();
@@ -59,8 +58,8 @@ void Rsg::remove_node(NodeRef n) {
   std::erase_if(pl_, [n](const auto& p) { return p.second == n; });
 }
 
-std::vector<NodeRef> Rsg::node_refs() const {
-  std::vector<NodeRef> out;
+NodeRefs Rsg::node_refs() const {
+  NodeRefs out;
   out.reserve(alive_count_);
   for (NodeRef i = 0; i < nodes_.size(); ++i)
     if (nodes_[i].alive) out.push_back(i);
@@ -135,8 +134,8 @@ bool Rsg::has_link(NodeRef from, Symbol sel, NodeRef to) const {
   return std::binary_search(out.begin(), out.end(), link);
 }
 
-std::vector<NodeRef> Rsg::sel_targets(NodeRef from, Symbol sel) const {
-  std::vector<NodeRef> out;
+NodeRefs Rsg::sel_targets(NodeRef from, Symbol sel) const {
+  NodeRefs out;
   for (const Link& l : nodes_[from].out)
     if (l.sel == sel) out.push_back(l.target);
   return out;
@@ -151,22 +150,22 @@ std::size_t Rsg::link_count() const {
 
 // --- Derived -------------------------------------------------------------------
 
-std::vector<NodeRef> Rsg::components() const {
+NodeRefs Rsg::components() const {
   // Union-find over undirected link adjacency.
   support::UnionFind uf(nodes_.size());
   for (NodeRef i = 0; i < nodes_.size(); ++i) {
     if (!nodes_[i].alive) continue;
     for (const Link& l : nodes_[i].out) uf.unite(i, l.target);
   }
-  std::vector<NodeRef> comp(nodes_.size(), kNoNode);
+  NodeRefs comp(nodes_.size(), kNoNode);
   for (NodeRef i = 0; i < nodes_.size(); ++i)
     if (nodes_[i].alive) comp[i] = static_cast<NodeRef>(uf.find(i));
   return comp;
 }
 
-std::vector<bool> Rsg::reachable_from(const std::vector<NodeRef>& roots) const {
-  std::vector<bool> seen(nodes_.size(), false);
-  std::vector<NodeRef> work;
+NodeFlags Rsg::reachable_from(std::span<const NodeRef> roots) const {
+  NodeFlags seen(nodes_.size(), false);
+  NodeRefs work;
   for (const NodeRef r : roots) {
     if (!seen[r]) {
       seen[r] = true;
@@ -186,8 +185,8 @@ std::vector<bool> Rsg::reachable_from(const std::vector<NodeRef>& roots) const {
   return seen;
 }
 
-std::vector<bool> Rsg::reachable_from_pvars() const {
-  std::vector<NodeRef> roots;
+NodeFlags Rsg::reachable_from_pvars() const {
+  NodeRefs roots;
   roots.reserve(pl_.size());
   for (const auto& [pvar, n] : pl_) roots.push_back(n);
   return reachable_from(roots);
@@ -287,7 +286,7 @@ bool Rsg::gc() {
 }
 
 void Rsg::compact() {
-  std::vector<NodeRef> remap(nodes_.size(), kNoNode);
+  NodeRefs remap(nodes_.size(), kNoNode);
   std::vector<Node> packed;
   packed.reserve(alive_count_);
   for (NodeRef i = 0; i < nodes_.size(); ++i) {

@@ -20,11 +20,13 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "rsg/properties.hpp"
 #include "support/memory_stats.hpp"
+#include "support/small_vector.hpp"
 
 namespace psa::rsg {
 
@@ -48,6 +50,17 @@ struct InLink {
   friend constexpr bool operator==(InLink, InLink) noexcept = default;
   friend constexpr auto operator<=>(InLink, InLink) noexcept = default;
 };
+
+/// A node's out- or in-link list: two links inline, sorted ascending.
+using LinkList = support::SmallVector<Link>;
+using InLinkList = support::SmallVector<InLink>;
+
+/// Per-call scratch over a graph's nodes or node slots (node_refs(),
+/// sel_targets(), components(), reachable_from()): inline up to
+/// kScratchNodes entries, so a typical graph's kernel calls allocate none.
+inline constexpr std::size_t kScratchNodes = 32;
+using NodeRefs = support::SmallVector<NodeRef, kScratchNodes>;
+using NodeFlags = support::SmallVector<bool, kScratchNodes>;
 
 class Rsg {
  public:
@@ -74,7 +87,7 @@ class Rsg {
   }
 
   /// All alive node refs, ascending.
-  [[nodiscard]] std::vector<NodeRef> node_refs() const;
+  [[nodiscard]] NodeRefs node_refs() const;
 
   // --- PL: pvar references ---------------------------------------------------
 
@@ -94,13 +107,13 @@ class Rsg {
   bool add_link(NodeRef from, Symbol sel, NodeRef to);
   bool remove_link(NodeRef from, Symbol sel, NodeRef to);
   [[nodiscard]] bool has_link(NodeRef from, Symbol sel, NodeRef to) const;
-  [[nodiscard]] const std::vector<Link>& out_links(NodeRef n) const {
+  [[nodiscard]] const LinkList& out_links(NodeRef n) const {
     return nodes_[n].out;
   }
   /// Targets of `from` via `sel`, ascending.
-  [[nodiscard]] std::vector<NodeRef> sel_targets(NodeRef from, Symbol sel) const;
+  [[nodiscard]] NodeRefs sel_targets(NodeRef from, Symbol sel) const;
   /// All incoming links of `to` (maintained incrementally, sorted).
-  [[nodiscard]] const std::vector<InLink>& in_links(NodeRef to) const {
+  [[nodiscard]] const InLinkList& in_links(NodeRef to) const {
     return nodes_[to].in;
   }
   [[nodiscard]] std::size_t link_count() const;
@@ -112,13 +125,12 @@ class Rsg {
   [[nodiscard]] SmallSet<Symbol> spath0(NodeRef n) const { return pvars_of(n); }
   /// STRUCTURE: weakly-connected-component id per node slot (dead slots get
   /// kNoNode). Ids are the smallest member ref of the component.
-  [[nodiscard]] std::vector<NodeRef> components() const;
+  [[nodiscard]] NodeRefs components() const;
   /// Forward reachability over may-links from `roots` (alive refs;
   /// duplicates allowed): true per node slot reached, roots included.
-  [[nodiscard]] std::vector<bool> reachable_from(
-      const std::vector<NodeRef>& roots) const;
+  [[nodiscard]] NodeFlags reachable_from(std::span<const NodeRef> roots) const;
   /// reachable_from the pvars' targets.
-  [[nodiscard]] std::vector<bool> reachable_from_pvars() const;
+  [[nodiscard]] NodeFlags reachable_from_pvars() const;
   /// Selectors of n's out-links, ascending.
   [[nodiscard]] SmallSet<Symbol> out_selectors(NodeRef n) const;
 
@@ -158,8 +170,8 @@ class Rsg {
   struct Node {
     bool alive = true;
     NodeProps props;
-    std::vector<Link> out;   // sorted ascending
-    std::vector<InLink> in;  // sorted ascending, mirrors the out lists
+    LinkList out;   // sorted ascending
+    InLinkList in;  // sorted ascending, mirrors the out lists
   };
 
   std::vector<Node> nodes_;

@@ -288,9 +288,8 @@ NodeProps read_props(ByteReader& in, const SymbolTableView& table) {
 void append_rsg(ByteWriter& out, const Rsg& g, SymbolTableBuilder& table) {
   out.u8(g.havoc() ? 1 : 0);
   // Alive nodes, renumbered densely in ref order.
-  const std::vector<NodeRef> refs = g.node_refs();
-  std::vector<std::uint32_t> dense(g.node_capacity(),
-                                   std::numeric_limits<std::uint32_t>::max());
+  const NodeRefs refs = g.node_refs();
+  NodeRefs dense(g.node_capacity(), std::numeric_limits<std::uint32_t>::max());
   for (std::size_t i = 0; i < refs.size(); ++i) {
     dense[refs[i]] = static_cast<std::uint32_t>(i);
   }

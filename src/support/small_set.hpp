@@ -6,14 +6,22 @@
 // (C_NODES, C_SPATH, JOIN compatibility) and are unioned / intersected in
 // MERGE_NODES. A sorted vector beats node-based containers on every one of
 // those operations at this size and hashes in one pass.
+//
+// The vector is a SmallVector with the default 16 bytes inline (4 symbols or
+// lines, 2 pairs), so a set that small lives inside NodeProps and copying it
+// allocates nothing; sizeof(SmallSet<T>) stays 24 bytes. A larger set spills
+// to one heap block. The elements stay sorted and unique, and hash() is
+// support::hash_range over them, so canonical keys and WL colours do not
+// depend on where the elements live.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <initializer_list>
-#include <vector>
+#include <iterator>
 
 #include "support/hash.hpp"
+#include "support/small_vector.hpp"
 
 namespace psa::support {
 
@@ -21,11 +29,11 @@ template <typename T>
 class SmallSet {
  public:
   using value_type = T;
-  using const_iterator = typename std::vector<T>::const_iterator;
+  using const_iterator = typename SmallVector<T>::const_iterator;
 
   SmallSet() = default;
   SmallSet(std::initializer_list<T> init) {
-    items_.assign(init);
+    items_.assign(init.begin(), init.end());
     normalize();
   }
 
@@ -59,14 +67,11 @@ class SmallSet {
   /// Remove every element for which `pred` holds.
   template <typename Pred>
   void erase_if(Pred&& pred) {
-    items_.erase(std::remove_if(items_.begin(), items_.end(),
-                                std::forward<Pred>(pred)),
-                 items_.end());
+    items_.erase_if(std::forward<Pred>(pred));
   }
 
   [[nodiscard]] friend SmallSet set_union(const SmallSet& a, const SmallSet& b) {
     SmallSet out;
-    out.items_.reserve(a.size() + b.size());
     std::set_union(a.begin(), a.end(), b.begin(), b.end(),
                    std::back_inserter(out.items_));
     return out;
@@ -121,7 +126,7 @@ class SmallSet {
     items_.erase(std::unique(items_.begin(), items_.end()), items_.end());
   }
 
-  std::vector<T> items_;
+  SmallVector<T> items_;
 };
 
 }  // namespace psa::support

@@ -271,5 +271,24 @@ TEST(GovernorTest, ReportSummaryMentionsRungs) {
   EXPECT_NE(summary.find("widen"), std::string::npos);
 }
 
+// A run held to the top rung before any statement escalates records no
+// event: its summary names the floor (and an unreachable budget) without an
+// empty event clause in front.
+TEST(GovernorTest, SummaryOfAFloorWithoutEventsHasNoEventClause) {
+  const auto program =
+      prepare(corpus::find_program("sparse_matvec")->source);
+  Options memory;
+  memory.memory_budget_bytes = 1;
+  const auto starved = analyze_program(program, memory);
+  EXPECT_TRUE(starved.degradation.events.empty());
+  EXPECT_EQ(starved.degradation.summary(),
+            "floor summarize; memory budget unreachable");
+  Options visits;
+  visits.max_node_visits = 0;
+  const auto unvisited = analyze_program(program, visits);
+  EXPECT_TRUE(unvisited.degradation.events.empty());
+  EXPECT_EQ(unvisited.degradation.summary(), "floor summarize");
+}
+
 }  // namespace
 }  // namespace psa::analysis

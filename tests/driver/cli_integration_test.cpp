@@ -4,8 +4,8 @@
 // --resume, and the final report is byte-identical to an uninterrupted run
 // while the unit-level logs show the finished units being skipped.
 //
-// The binaries under test are baked in via PSA_CLI_PATH and
-// PSA_CHECKER_REPORT_PATH (tests/CMakeLists.txt).
+// The binaries under test are baked in via PSA_CLI_PATH,
+// PSA_CHECKER_REPORT_PATH and PSA_EXPORT_CORPUS_PATH (tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -171,6 +171,19 @@ TEST_F(CliTest, CheckerReportRejectsBadLevel) {
         2)
         << level;
   }
+}
+
+TEST_F(CliTest, ExportCorpusTakesNoOptionForADirectory) {
+  // export_corpus takes one optional DIR: --help prints the usage and any
+  // other option is bad usage; neither writes a file.
+  const std::string export_corpus =
+      "cd '" + dir_ + "' && " + std::string(PSA_EXPORT_CORPUS_PATH);
+  const RunResult help = run_program(export_corpus, "--help", "");
+  EXPECT_EQ(help.exit_code, 0);
+  EXPECT_EQ(help.stdout_text.rfind("usage: export_corpus [DIR]", 0), 0u);
+  EXPECT_EQ(run_program(export_corpus, "--bogus", "").exit_code, 2);
+  EXPECT_EQ(run_program(export_corpus, "a b", "").exit_code, 2);
+  EXPECT_TRUE(fs::is_empty(dir_));
 }
 
 TEST_F(CliTest, ExitCode3SomeUnitsFailed) {

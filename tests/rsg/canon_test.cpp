@@ -9,6 +9,7 @@
 #include <tuple>
 #include <vector>
 
+#include "support/memory_stats.hpp"
 #include "support/metrics.hpp"
 #include "testing/rsg_builder.hpp"
 
@@ -48,6 +49,61 @@ TEST(CanonTest, IsomorphicUnderSlotPermutation) {
   b.link(b1, "nxt", b2).link(b2, "nxt", b2);
 
   EXPECT_EQ(canonical_key(a.g), canonical_key(b.g));
+}
+
+// A key's bytes live in one shared block: a copy is a handle, so copies add
+// no live bytes, and the block is counted until its last handle goes.
+TEST(CanonTest, CopyingAKeyDoesNotCopyItsBytes) {
+  RsgBuilder b;
+  const NodeRef n = b.node();
+  b.pvar("x", n);
+  b.link(n, "nxt", b.node(Cardinality::kMany));
+  const auto live = [] {
+    return support::MemoryStats::instance().snapshot().live_bytes;
+  };
+  const std::uint64_t base = live();
+  {
+    const CanonicalKey key = canonical_key(b.g);
+    const std::uint64_t with_key = live();
+    EXPECT_GE(with_key - base, key.bytes().size());
+    std::vector<CanonicalKey> copies(64, key);
+    CanonicalKey assigned;
+    assigned = key;
+    EXPECT_EQ(live(), with_key);
+    for (const CanonicalKey& copy : copies) {
+      EXPECT_EQ(copy, key);
+      EXPECT_EQ(copy.bytes().data(), key.bytes().data());
+    }
+    CanonicalKey moved = std::move(copies.back());
+    copies.clear();
+    EXPECT_EQ(moved, key);
+    EXPECT_EQ(live(), with_key);
+  }
+  EXPECT_EQ(live(), base);
+}
+
+TEST(CanonTest, SeparatelyBuiltKeysOfIsomorphicGraphsAreEqual) {
+  RsgBuilder a;
+  const NodeRef a1 = a.node();
+  const NodeRef a2 = a.node(Cardinality::kMany);
+  a.pvar("x", a1);
+  a.link(a1, "nxt", a2).link(a2, "prv", a1);
+  RsgBuilder b(a.interner_ptr());
+  const NodeRef b2 = b.node(Cardinality::kMany);
+  const NodeRef b1 = b.node();
+  b.pvar("x", b1);
+  b.link(b1, "nxt", b2).link(b2, "prv", b1);
+
+  const CanonicalKey ka = canonical_key(a.g);
+  const CanonicalKey kb = canonical_key(b.g);
+  EXPECT_NE(ka.bytes().data(), kb.bytes().data());  // two blocks
+  EXPECT_EQ(ka.bytes(), kb.bytes());
+  EXPECT_EQ(ka, kb);
+  EXPECT_EQ(CanonicalKey::Hash{}(ka), CanonicalKey::Hash{}(kb));
+  const CanonicalKey copy = kb;
+  EXPECT_EQ(ka, copy);
+  b.link(b1, "prv", b1);
+  EXPECT_NE(ka, canonical_key(b.g));
 }
 
 TEST(CanonTest, PropertyDifferenceDetected) {
@@ -383,8 +439,8 @@ Rsg build(const GraphSpec& spec, RsgBuilder& names, std::mt19937& rng,
 /// True when some bijection of a's nodes onto b's preserves properties,
 /// links and pvar bindings.
 bool isomorphic_by_brute_force(const Rsg& a, const Rsg& b) {
-  const std::vector<NodeRef> ra = a.node_refs();
-  std::vector<NodeRef> rb = b.node_refs();
+  const NodeRefs ra = a.node_refs();
+  NodeRefs rb = b.node_refs();
   if (a.havoc() != b.havoc() || ra.size() != rb.size() ||
       a.link_count() != b.link_count() ||
       a.pvar_links().size() != b.pvar_links().size()) {

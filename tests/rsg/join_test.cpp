@@ -1,6 +1,9 @@
 // ALIAS / COMPATIBLE / JOIN (§4, §4.3) and the force-join widening.
 #include <gtest/gtest.h>
 
+#include "analysis/analyzer.hpp"
+#include "corpus/corpus.hpp"
+#include "rsg/canon.hpp"
 #include "rsg/ops.hpp"
 #include "testing/rsg_builder.hpp"
 
@@ -231,6 +234,50 @@ TEST(CoarsenTest, PvarNodesKeepIdentity) {
   b.link(h1, "nxt", h2);
   coarsen(b.g, kL1);
   EXPECT_NE(b.g.pvar_target(b.sym("x")), b.g.pvar_target(b.sym("y")));
+}
+
+// An RSRSG insert hands JOIN the contexts it already holds. On corpus states
+// (each member of a statement's set against each input graph its
+// predecessors feed it), the context-taking JOIN and force_join must build
+// the graphs the context-computing ones build.
+TEST(JoinTest, CallerContextsGiveTheSameGraphs) {
+  std::size_t joins = 0;
+  std::size_t force_joins = 0;
+  for (const char* name : {"dll", "sparse_matvec", "barnes_hut_small"}) {
+    for (const AnalysisLevel level : {AnalysisLevel::kL1, AnalysisLevel::kL2}) {
+      const auto program =
+          analysis::prepare(corpus::find_program(name)->source);
+      analysis::Options options;
+      options.level = level;
+      const auto result = analysis::analyze_program(program, options);
+      const LevelPolicy policy{level};
+      for (cfg::NodeId id = 0; id < program.cfg.size(); ++id) {
+        for (const cfg::NodeId p : program.cfg.node(id).preds) {
+          for (const Rsg& member : result.per_node[id].graphs()) {
+            const CompatContexts member_ctx = compute_compat_contexts(member);
+            for (const Rsg& input : result.per_node[p].graphs()) {
+              if (!alias_equal(member, input)) continue;
+              const CompatContexts input_ctx = compute_compat_contexts(input);
+              if (compatible(member, input, policy)) {
+                EXPECT_EQ(canonical_key(join(member, input, policy)),
+                          canonical_key(join(member, member_ctx, input,
+                                             input_ctx, policy)))
+                    << name << " " << to_string(level) << " node " << id;
+                ++joins;
+              }
+              EXPECT_EQ(
+                  canonical_key(force_join(member, input, policy)),
+                  canonical_key(force_join(member, member_ctx, input, policy)))
+                  << name << " " << to_string(level) << " node " << id;
+              ++force_joins;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(joins, 100u);
+  EXPECT_GT(force_joins, 100u);
 }
 
 }  // namespace

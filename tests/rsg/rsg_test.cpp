@@ -11,6 +11,16 @@ namespace {
 
 using psa::testing::RsgBuilder;
 
+// Rsg::footprint_bytes, and with it peak_bytes, counts sizeof(NodeProps) per
+// node; the property sets and link lists hold their first elements inline
+// without growing the structs that hold them (LP64 sizes).
+TEST(RsgTest, NodeStorageKeepsItsSize) {
+  EXPECT_EQ(sizeof(SmallSet<Symbol>), 24u);
+  EXPECT_EQ(sizeof(NodeProps), 216u);
+  EXPECT_EQ(sizeof(LinkList), 24u);
+  EXPECT_EQ(sizeof(InLinkList), 24u);
+}
+
 TEST(RsgTest, EmptyGraph) {
   Rsg g;
   EXPECT_EQ(g.node_count(), 0u);
@@ -83,8 +93,8 @@ TEST(RsgTest, SelTargets) {
   const NodeRef c = b.node();
   const NodeRef d = b.node();
   b.link(a, "nxt", c).link(a, "nxt", d).link(a, "prv", c);
-  EXPECT_EQ(b.g.sel_targets(a, b.sym("nxt")), (std::vector<NodeRef>{c, d}));
-  EXPECT_EQ(b.g.sel_targets(a, b.sym("prv")), (std::vector<NodeRef>{c}));
+  EXPECT_EQ(b.g.sel_targets(a, b.sym("nxt")), (NodeRefs{c, d}));
+  EXPECT_EQ(b.g.sel_targets(a, b.sym("prv")), (NodeRefs{c}));
 }
 
 TEST(RsgTest, RemoveNodeDetachesEverything) {
@@ -315,7 +325,8 @@ TEST(RsgTest, ReachableFromSeveralRootsThroughACycle) {
   b.link(a, "nxt", c).link(c, "nxt", a);  // a cycle
   b.link(d, "nxt", e).link(dead, "nxt", e).link(island, "nxt", d);
   b.g.remove_node(dead);  // a dead slot below a live one
-  const auto seen = b.g.reachable_from({a, d, a});  // duplicate root
+  const NodeRef roots[] = {a, d, a};  // duplicate root
+  const auto seen = b.g.reachable_from(roots);
   ASSERT_EQ(seen.size(), b.g.node_capacity());
   EXPECT_TRUE(seen[a]);
   EXPECT_TRUE(seen[c]);

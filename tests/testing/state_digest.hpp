@@ -53,7 +53,8 @@ class StateDigester {
   }
 
   [[nodiscard]] std::uint64_t digest(const rsg::Rsg& g) {
-    const std::vector<rsg::NodeRef> refs = g.node_refs();
+    const rsg::NodeRefs alive = g.node_refs();
+    const std::vector<rsg::NodeRef> refs(alive.begin(), alive.end());
     std::vector<std::uint64_t> color(g.node_capacity(), 0);
     for (const rsg::NodeRef n : refs) color[n] = node_seed(g, n);
 
